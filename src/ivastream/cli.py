@@ -148,7 +148,6 @@ def run_moving_experiment(
     alpha: float = 0.99,
     n_iter: int = 2,
     contrast: str = "laplace",
-    n_threads: int = 1,
 ):
     """Run one arm of the moving-source comparison.
 
@@ -182,7 +181,7 @@ def run_moving_experiment(
         selector = UpdateSchedule.all_sources(n_src)
     online_cfg = OnlineConfig(alpha=alpha, n_iter=n_iter, method=method, selector=selector)
     model = ContrastModel(contrast, n_bins=spec.n_bins)
-    engine = OnlineAuxIva(spec.n_bins, n_src, online_cfg, model, n_threads=n_threads)
+    engine = OnlineAuxIva(spec.n_bins, n_src, online_cfg, model)
     data = spec.data
     out = np.empty_like(data)
     update_s = 0.0
@@ -202,7 +201,6 @@ def run_moving_experiment(
     tic = time.perf_counter()
     estimates = synthesize(Spectrogram(out), stft_cfg, n_samples=n_samples)
     stft_s += time.perf_counter() - tic
-    engine.close()
     info = {
         "update_loop_s": update_s,
         "projection_s": project_s,
@@ -221,7 +219,6 @@ def run_separation(
     stft_cfg: StftConfig,
     online_cfg: OnlineConfig,
     contrast: str = "laplace",
-    n_threads: int = 1,
 ):
     """STFT -> streaming separation -> back-projection -> inverse STFT.
 
@@ -233,12 +230,11 @@ def run_separation(
     spec = analyze(mixtures, stft_cfg)
     stft_s = time.perf_counter() - tic
     model = ContrastModel(contrast, n_bins=spec.n_bins)
-    engine = OnlineAuxIva(spec.n_bins, n_src, online_cfg, model, n_threads=n_threads)
+    engine = OnlineAuxIva(spec.n_bins, n_src, online_cfg, model)
     separated, timing = engine.separate(spec, project=True)
     tic = time.perf_counter()
     estimates = synthesize(separated, stft_cfg, n_samples=n_samples)
     stft_s += time.perf_counter() - tic
-    engine.close()
     info = {
         "update_loop_s": timing["update_loop_s"],
         "projection_s": timing["projection_s"],
@@ -375,9 +371,7 @@ def cmd_separate(args) -> int:
         if manifest["move"]:
             switch_hint = manifest["move"]["sample"]
     online_cfg = _online_config_from_args(args, n_src, stft_cfg, switch_hint)
-    estimates, info = run_separation(
-        mixtures, stft_cfg, online_cfg, contrast=args.contrast, n_threads=args.threads
-    )
+    estimates, info = run_separation(mixtures, stft_cfg, online_cfg, contrast=args.contrast)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for k in range(n_src):
@@ -570,7 +564,6 @@ def _add_separation_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-iter", type=int, default=2)
     p.add_argument("--update-period", type=int, default=1)
     p.add_argument("--contrast", choices=("laplace", "gauss"), default="laplace")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--frame-len", type=int, default=1024)
 
 

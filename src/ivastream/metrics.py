@@ -10,11 +10,11 @@ the first microphone, matching the separator's back-projection convention.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .errors import ContractViolationError
 from .scenario import GroundTruth
@@ -98,21 +98,17 @@ def resolve_permutation(references: np.ndarray, estimates: np.ndarray) -> tuple[
     """Global output-to-reference assignment maximising total SI-SDR.
 
     Returns ``perm`` such that ``estimates[perm[k]]`` scores reference
-    ``k``.  Brute force over K! assignments; K <= 6.
+    ``k``.  Solved as a linear sum assignment on the K x K SI-SDR score
+    matrix, which costs O(K^3) rather than K!, so any K is supported.
     """
     refs = np.asarray(references, dtype=np.float64)
     ests = np.asarray(estimates, dtype=np.float64)
     if refs.shape != ests.shape or refs.ndim != 2:
         raise ContractViolationError("references and estimates must both be (K, N)")
     k = refs.shape[0]
-    if k > 6:
-        raise ContractViolationError("brute-force permutation search supports K <= 6")
     scores = np.array([[si_sdr(refs[i], ests[j]) for j in range(k)] for i in range(k)])
-    best = max(
-        itertools.permutations(range(k)),
-        key=lambda perm: sum(scores[i, perm[i]] for i in range(k)),
-    )
-    return tuple(best)
+    _, cols = linear_sum_assignment(scores, maximize=True)
+    return tuple(int(c) for c in cols)
 
 
 @dataclass

@@ -3,11 +3,13 @@
 The engine processes one STFT frame at a time:
 
 ```text
-   carry W from the previous frame
+   carry W and U[prev frame] from the previous frame
+   once per frame:
+       X_f   <- (x_f x_f^H + (x_f x_f^H)^H) / 2           (exactly Hermitian)
+       B_k,f <- alpha * U_k,f[prev frame]                  for every source
    for iter = 1..n_iter:                      (only 1 pass on skip frames)
        r_k   <- sqrt(sum_f |w_k^H x_f|^2)                 for every source
-       U_k,f <- alpha * U_k,f[prev frame]
-                + (1 - alpha) * phi(r_k) * x_f x_f^H      for every source
+       U_k,f <- (1 - alpha) * phi(r_k) * X_f + B_k,f      for every source
        for k in the scheduled index set:
            ISS:  W_f <- W_f - v_k,f w_k,f^H   (rank-1, no solves)
            IP:   row k of W_f <- normalised solve of (W_f U_k,f) w = e_k
@@ -25,12 +27,15 @@ Notes on conventions:
   system must not halt on a transiently bad bin.
 * The ISS path performs no linear solves or inversions; back-projection
   (the only inversion user) lives outside :meth:`OnlineAuxIva.process_frame`.
+* Both terms of the covariance refresh are exactly Hermitian, so every
+  persisted covariance is too, bit for bit.  ``x x^H`` alone is not (the
+  diagonal picks up an imaginary residue under fused multiply-add), hence
+  its explicit symmetrisation.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -211,7 +216,7 @@ def source_activity(W: np.ndarray, frame: np.ndarray, k: int | None = None, r_fl
     ``W`` is (F, K, K), ``frame`` is (F, K).  Returns a scalar for a given
     ``k`` or the full length-K vector when ``k`` is None.
     """
-    y = np.einsum("fkj,fj->fk", W, frame)
+    y = (W @ frame[:, :, None])[..., 0]
     r = np.sqrt(np.sum(np.abs(y) ** 2, axis=0))
     r = np.maximum(r, r_floor)
     return float(r[k]) if k is not None else r
@@ -267,9 +272,8 @@ def iss_vector(W: np.ndarray, U_all: np.ndarray, k: int) -> np.ndarray:
 
 
 def _masked_iss_vector(W: np.ndarray, U_all: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    wk_conj = np.conj(W[:, k, :])
     # p[m, f, :] = U_m,f w_k,f  (in row storage: U @ conj(row k))
-    p = np.einsum("mfij,fj->mfi", U_all, wk_conj)
+    p = (U_all @ np.conj(W[:, k, :])[None, :, :, None])[..., 0]
     num = np.einsum("fmi,mfi->fm", W, p)
     den = np.einsum("fi,mfi->fm", W[:, k, :], p).real
     ok = np.all(den > 0, axis=1)
@@ -323,11 +327,6 @@ class OnlineAuxIva:
         :class:`OnlineConfig`; ``selector=None`` updates every source.
     model:
         :class:`ContrastModel`; defaults to Laplace with ``n_bins`` bins.
-    n_threads:
-        When > 1, per-frame bin work is split into contiguous bin slices
-        handled by a thread pool.  Runs with the same thread count are
-        bit-identical; changing the count perturbs only the summation
-        order of the activity reduction (last-ulp differences).
     init_covariance_scale:
         Diagonal loading of the initial covariances (identity times this).
 
@@ -342,7 +341,6 @@ class OnlineAuxIva:
         config: OnlineConfig = OnlineConfig(),
         model: ContrastModel | None = None,
         *,
-        n_threads: int = 1,
         init_covariance_scale: float = 1e-3,
     ) -> None:
         if n_bins < 1 or n_src < 1:
@@ -352,13 +350,6 @@ class OnlineAuxIva:
         self.config = config
         self.model = model if model is not None else ContrastModel("laplace", n_bins=n_bins)
         self.init_covariance_scale = float(init_covariance_scale)
-        self.n_threads = max(1, int(n_threads))
-        self._pool = ThreadPoolExecutor(self.n_threads) if self.n_threads > 1 else None
-        self._slices = [
-            slice(b[0], b[-1] + 1)
-            for b in np.array_split(np.arange(self.n_bins), self.n_threads)
-            if b.size
-        ]
         sel = config.selector
         if sel is None:
             sel = UpdateSchedule.all_sources(self.n_src)
@@ -378,37 +369,19 @@ class OnlineAuxIva:
         self.flops.reset()
         self._t = 0
 
-    # -- per-slice kernels -------------------------------------------------
+    # -- demixing updates, whole-array over bins ---------------------------
 
-    def _activity_partial(self, x: np.ndarray, sl: slice) -> np.ndarray:
-        y = np.einsum("fkj,fj->fk", self.demix[sl], x[sl])
-        return np.sum(np.abs(y) ** 2, axis=0)
+    def _iss_step(self, k: int, t: int) -> None:
+        W = self.demix
+        v, ok = _masked_iss_vector(W, self._cov_next, k)
+        if not np.all(ok):
+            v[~ok] = 0.0  # degenerate bins keep their rows
+            self.diagnostics.record("iss_degenerate", t, k, np.flatnonzero(~ok))
+        W -= v[:, :, None] * W[:, k, None, :]
 
-    def _refresh_covariance(self, x: np.ndarray, phi: np.ndarray, sl: slice) -> None:
-        xs = x[sl]
-        outer = xs[:, :, None] * np.conj(xs[:, None, :])
-        blended = (
-            self.config.alpha * self.covariance[:, sl]
-            + ((1.0 - self.config.alpha) * phi)[:, None, None, None] * outer
-        )
-        np.copyto(
-            self._cov_next[:, sl],
-            0.5 * (blended + np.conj(np.swapaxes(blended, -1, -2))),
-        )
-
-    def _iss_step(self, k: int, t: int, sl: slice) -> None:
-        W = self.demix[sl]
-        v, ok = _masked_iss_vector(W, self._cov_next[:, sl], k)
-        updated = W - v[:, :, None] * W[:, k, :][:, None, :]
-        if np.all(ok):
-            np.copyto(W, updated)
-        else:
-            np.copyto(W, np.where(ok[:, None, None], updated, W))
-            self.diagnostics.record("iss_degenerate", t, k, np.flatnonzero(~ok) + sl.start)
-
-    def _ip_step(self, k: int, t: int, sl: slice) -> None:
-        W = self.demix[sl]
-        U_k = self._cov_next[k, sl]
+    def _ip_step(self, k: int, t: int) -> None:
+        W = self.demix
+        U_k = self._cov_next[k]
         z, ok = linalg.masked_solve_unit(W @ U_k, k)
         quad = np.einsum("fi,fij,fj->f", np.conj(z), U_k, z).real
         ok &= quad > 0
@@ -418,13 +391,7 @@ class OnlineAuxIva:
             W[:, k, :] = row
         else:
             W[:, k, :] = np.where(ok[:, None], row, W[:, k, :])
-            self.diagnostics.record("ip_degenerate", t, k, np.flatnonzero(~ok) + sl.start)
-
-    def _map(self, fn, *args):
-        if self._pool is None:
-            return [fn(*args, self._slices[0])]
-        futures = [self._pool.submit(fn, *args, sl) for sl in self._slices]
-        return [f.result() for f in futures]
+            self.diagnostics.record("ip_degenerate", t, k, np.flatnonzero(~ok))
 
     # -- public streaming API ----------------------------------------------
 
@@ -434,7 +401,8 @@ class OnlineAuxIva:
         Runs the configured number of inner iterations (demixing updates
         happen only on frames where ``(t - 1) % update_period == 0``; other
         frames still refresh the covariances once) and persists the final
-        covariance as this frame's state.
+        covariance as this frame's state.  The selector is consulted once
+        per update frame.
         """
         x = np.asarray(frame, dtype=np.complex128)
         if x.shape != (self.n_bins, self.n_src):
@@ -444,28 +412,33 @@ class OnlineAuxIva:
         self._t += 1
         t = self._t
         k, f = self.n_src, self.n_bins
-        update_frame = (t - 1) % self.config.update_period == 0
-        passes = self.config.n_iter if update_frame else 1
+        alpha = self.config.alpha
+        if (t - 1) % self.config.update_period == 0:
+            passes, indices = self.config.n_iter, tuple(self._indices_at(t))
+            for idx in indices:
+                if not 0 <= idx < k:
+                    raise ContractViolationError(f"selector produced index {idx}")
+        else:
+            passes, indices = 1, ()
+        outer = x[:, :, None] * np.conj(x[:, None, :])
+        outer = 0.5 * (outer + np.conj(np.swapaxes(outer, -1, -2)))
+        decayed = alpha * self.covariance
         for _ in range(passes):
-            partials = self._map(self._activity_partial, x)
-            r = np.sqrt(np.sum(partials, axis=0))
-            phi = self.model.weight(r)
+            phi = self.model.weight(source_activity(self.demix, x, r_floor=self.model.r_floor))
             self.flops.activity += FlopCounter.activity_flops(k, f)
-            self._map(self._refresh_covariance, x, phi)
+            np.multiply(((1.0 - alpha) * phi)[:, None, None, None], outer, out=self._cov_next)
+            self._cov_next += decayed
             self.flops.covariance += k * FlopCounter.covariance_flops(k, f)
-            if update_frame:
-                for idx in self._indices_at(t):
-                    if not 0 <= idx < k:
-                        raise ContractViolationError(f"selector produced index {idx}")
-                    if self.config.method == "iss":
-                        self._map(self._iss_step, idx, t)
-                        self.flops.iss_coefficients += FlopCounter.iss_coefficient_flops(k, f)
-                        self.flops.iss_apply += FlopCounter.iss_apply_flops(k, f)
-                    else:
-                        self._map(self._ip_step, idx, t)
-                        self.flops.ip_update += FlopCounter.ip_update_flops(k, f)
+            for idx in indices:
+                if self.config.method == "iss":
+                    self._iss_step(idx, t)
+                    self.flops.iss_coefficients += FlopCounter.iss_coefficient_flops(k, f)
+                    self.flops.iss_apply += FlopCounter.iss_apply_flops(k, f)
+                else:
+                    self._ip_step(idx, t)
+                    self.flops.ip_update += FlopCounter.ip_update_flops(k, f)
         self.covariance, self._cov_next = self._cov_next, self.covariance
-        return np.einsum("fkj,fj->fk", self.demix, x)
+        return (self.demix @ x[:, :, None])[..., 0]
 
     def separate(self, spectrogram, project: bool = True):
         """Stream a whole spectrogram through the engine.
@@ -495,8 +468,3 @@ class OnlineAuxIva:
             out[:, t, :] = y.T
         timing = {"update_loop_s": update_s, "projection_s": project_s, "frames": n_frames}
         return Spectrogram(out), timing
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None

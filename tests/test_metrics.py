@@ -1,5 +1,7 @@
 """Metric contracts: SI-SDR, segmentation, permutation, improvement."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -121,10 +123,27 @@ class TestResolvePermutation:
         scaled = ests * np.array([[0.1], [5.0], [2.0]])
         assert resolve_permutation(refs, scaled) == base
 
-    def test_large_k_rejected(self, rng):
-        refs = rng.standard_normal((7, 10))
-        with pytest.raises(ContractViolationError):
-            resolve_permutation(refs, refs)
+    def test_large_k_recovers_known_shuffle(self, rng):
+        refs = rng.standard_normal((8, 4000))
+        shuffle = tuple(int(j) for j in rng.permutation(8))
+        ests = np.empty_like(refs)
+        for i, j in enumerate(shuffle):
+            ests[j] = refs[i] + orthogonal_noise(rng, refs[i], 0.1)
+        assert resolve_permutation(refs, ests) == shuffle
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_total_score_matches_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 6))
+        refs = rng.standard_normal((k, 300))
+        ests = rng.standard_normal((k, k)) @ refs + 0.5 * rng.standard_normal((k, 300))
+        scores = np.array([[si_sdr(refs[i], ests[j]) for j in range(k)] for i in range(k)])
+        best = max(
+            sum(scores[i, perm[i]] for i in range(k)) for perm in itertools.permutations(range(k))
+        )
+        perm = resolve_permutation(refs, ests)
+        assert sorted(perm) == list(range(k))
+        assert sum(scores[i, perm[i]] for i in range(k)) == pytest.approx(best, abs=1e-9)
 
 
 class TestSdrImprovement:
