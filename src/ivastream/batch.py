@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractViolationError
-from .separator import ContrastModel, ip_update_row, iss_apply, _masked_iss_vector
+from .separator import ContrastModel, ip_update_row, iss_apply, iss_vector
 from .stft import Spectrogram
 
 
@@ -93,12 +93,7 @@ def batch_weighted_covariance(
 
     Returns the (K, F, K, K) stack, or the single matrix for given (k, f).
     """
-    X = _to_ftk(spec)
-    Y = _demix(W, X)
-    r = _activities(Y, model.r_floor)
-    phi = model.weight(r)  # (T, K)
-    U = np.einsum("tk,fti,ftj->kfij", phi, X, np.conj(X)) / spec.n_frames
-    U = 0.5 * (U + np.conj(np.swapaxes(U, -1, -2)))
+    U = _covariances_from(_to_ftk(spec), W, model)
     if k is not None and f is not None:
         return U[k, f]
     if k is not None:
@@ -109,9 +104,9 @@ def batch_weighted_covariance(
 def _covariances_from(X: np.ndarray, W: np.ndarray, model: ContrastModel) -> np.ndarray:
     Y = _demix(W, X)
     r = _activities(Y, model.r_floor)
-    phi = model.weight(r)
+    phi = model.weight(r)  # (T, K)
     U = np.einsum("tk,fti,ftj->kfij", phi, X, np.conj(X)) / X.shape[1]
-    return 0.5 * (U + np.conj(np.swapaxes(U, -1, -2)))
+    return linalg.hermitian_part(U)
 
 
 def _sweep_ip(X: np.ndarray, W: np.ndarray, model: ContrastModel) -> np.ndarray:
@@ -124,13 +119,7 @@ def _sweep_ip(X: np.ndarray, W: np.ndarray, model: ContrastModel) -> np.ndarray:
 def _sweep_iss(X: np.ndarray, W: np.ndarray, model: ContrastModel) -> np.ndarray:
     for k in range(W.shape[-1]):
         U = _covariances_from(X, W, model)
-        v, ok = _masked_iss_vector(W, U, k)
-        if not np.all(ok):
-            bad = tuple(int(b) for b in np.flatnonzero(~ok)[:16])
-            raise linalg.SingularMatrixError(
-                f"degenerate ISS denominator at bins {bad}", indices=bad
-            )
-        W = iss_apply(W, v, k)
+        W = iss_apply(W, iss_vector(W, U, k), k)
     return W
 
 

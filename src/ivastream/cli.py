@@ -22,7 +22,7 @@ from scipy.io import wavfile
 
 from . import metrics, scenario
 from .errors import ContractViolationError
-from .separator import ContrastModel, OnlineAuxIva, OnlineConfig, UpdateSchedule, project_back
+from .separator import ContrastModel, OnlineAuxIva, OnlineConfig, UpdateSchedule
 from .stft import Spectrogram, StftConfig, analyze, synthesize
 
 
@@ -140,6 +140,52 @@ def moving_output_channel(truth: scenario.GroundTruth, estimates: np.ndarray) ->
     return perm[truth.move_source]
 
 
+def _run_pipeline(
+    mixtures: np.ndarray,
+    stft_cfg: StftConfig,
+    online_cfg: OnlineConfig,
+    contrast: str,
+    switch_frame: int | None = None,
+    at_switch=None,
+):
+    """analyze -> :meth:`OnlineAuxIva.separate` -> synthesize, with an info dict.
+
+    When ``switch_frame`` (1-based) falls within the stream, the engine
+    first separates the frames before it; ``at_switch`` receives their
+    synthesised estimates, untimed, and the same engine then continues
+    the stream with the rest.
+    """
+    n_src, n_samples = mixtures.shape
+    tic = time.perf_counter()
+    spec = analyze(mixtures, stft_cfg)
+    stft_s = time.perf_counter() - tic
+    model = ContrastModel(contrast, n_bins=spec.n_bins)
+    engine = OnlineAuxIva(spec.n_bins, n_src, online_cfg, model)
+    n_frames = spec.n_frames
+    split = n_frames if switch_frame is None else min(switch_frame - 1, n_frames)
+    separated, timing = engine.separate(spec.data[:, :split, :])
+    update_s, project_s = timing["update_loop_s"], timing["projection_s"]
+    if split < n_frames:
+        at_switch(synthesize(separated, stft_cfg))
+        rest, timing = engine.separate(spec.data[:, split:, :])
+        separated = Spectrogram(np.concatenate([separated.data, rest.data], axis=1))
+        update_s += timing["update_loop_s"]
+        project_s += timing["projection_s"]
+    tic = time.perf_counter()
+    estimates = synthesize(separated, stft_cfg, n_samples=n_samples)
+    stft_s += time.perf_counter() - tic
+    info = {
+        "update_loop_s": update_s,
+        "projection_s": project_s,
+        "stft_s": stft_s,
+        "total_s": update_s + project_s + stft_s,
+        "frames": n_frames,
+        "degenerate_updates": engine.diagnostics.counts,
+        "flops": vars(engine.flops).copy(),
+    }
+    return estimates, info
+
+
 def run_moving_experiment(
     truth: scenario.GroundTruth,
     stft_cfg: StftConfig,
@@ -156,62 +202,31 @@ def run_moving_experiment(
     was tracking the moving source).  The channel is decided at the switch
     frame from the estimates streamed so far, scored against the known
     ground truth; everything before the switch is identical between the
-    two modes.  Returns ``(estimates, info)`` with the update-loop timing
-    free of the one-off channel decision.
+    two modes, and a switch past the last frame decides nothing.  Returns
+    ``(estimates, info)`` with the update-loop timing free of the one-off
+    channel decision.
     """
     if mode not in ("all", "one"):
         raise ContractViolationError(f"mode must be 'all' or 'one', got {mode!r}")
-    mixtures = truth.mixtures
-    n_src, n_samples = mixtures.shape
-    tic = time.perf_counter()
-    spec = analyze(mixtures, stft_cfg)
-    stft_s = time.perf_counter() - tic
-    switch_frame = None
     chosen: dict[str, int] = {}
+    switch_frame = selector = None
     if mode == "one":
         if truth.move_sample is None:
             raise ContractViolationError("mode 'one' needs a scenario with a move")
         switch_frame = truth.move_sample // stft_cfg.hop + 1
-        all_indices = tuple(range(n_src))
+        everyone = tuple(range(truth.mixtures.shape[0]))
 
         def selector(t: int):
-            return all_indices if t < switch_frame else (chosen["channel"],)
+            return everyone if t < switch_frame else (chosen["channel"],)
 
-    else:
-        selector = UpdateSchedule.all_sources(n_src)
+    def decide(pre_estimates: np.ndarray) -> None:
+        chosen["channel"] = moving_output_channel(truth, pre_estimates)
+
     online_cfg = OnlineConfig(alpha=alpha, n_iter=n_iter, method=method, selector=selector)
-    model = ContrastModel(contrast, n_bins=spec.n_bins)
-    engine = OnlineAuxIva(spec.n_bins, n_src, online_cfg, model)
-    data = spec.data
-    out = np.empty_like(data)
-    update_s = 0.0
-    project_s = 0.0
-    for t in range(data.shape[1]):
-        if switch_frame is not None and t + 1 == switch_frame:
-            pre_estimates = synthesize(Spectrogram(out[:, :t, :]), stft_cfg)
-            chosen["channel"] = moving_output_channel(truth, pre_estimates)
-        x = np.ascontiguousarray(data[:, t, :].T)
-        tic = time.perf_counter()
-        y = engine.process_frame(x)
-        update_s += time.perf_counter() - tic
-        tic = time.perf_counter()
-        y = project_back(engine.demix, y)
-        project_s += time.perf_counter() - tic
-        out[:, t, :] = y.T
-    tic = time.perf_counter()
-    estimates = synthesize(Spectrogram(out), stft_cfg, n_samples=n_samples)
-    stft_s += time.perf_counter() - tic
-    info = {
-        "update_loop_s": update_s,
-        "projection_s": project_s,
-        "stft_s": stft_s,
-        "total_s": update_s + project_s + stft_s,
-        "frames": data.shape[1],
-        "moving_channel": chosen.get("channel"),
-        "degenerate_updates": engine.diagnostics.counts,
-        "flops": vars(engine.flops).copy(),
-    }
-    return estimates, info
+    estimates, info = _run_pipeline(
+        truth.mixtures, stft_cfg, online_cfg, contrast, switch_frame, decide
+    )
+    return estimates, {**info, "moving_channel": chosen.get("channel")}
 
 
 def run_separation(
@@ -225,26 +240,7 @@ def run_separation(
     Returns ``(estimates (K, N), info dict)`` where info carries the
     update-loop/projection/STFT timings and the engine diagnostics.
     """
-    n_src, n_samples = mixtures.shape
-    tic = time.perf_counter()
-    spec = analyze(mixtures, stft_cfg)
-    stft_s = time.perf_counter() - tic
-    model = ContrastModel(contrast, n_bins=spec.n_bins)
-    engine = OnlineAuxIva(spec.n_bins, n_src, online_cfg, model)
-    separated, timing = engine.separate(spec, project=True)
-    tic = time.perf_counter()
-    estimates = synthesize(separated, stft_cfg, n_samples=n_samples)
-    stft_s += time.perf_counter() - tic
-    info = {
-        "update_loop_s": timing["update_loop_s"],
-        "projection_s": timing["projection_s"],
-        "stft_s": stft_s,
-        "total_s": timing["update_loop_s"] + timing["projection_s"] + stft_s,
-        "frames": timing["frames"],
-        "degenerate_updates": engine.diagnostics.counts,
-        "flops": vars(engine.flops).copy(),
-    }
-    return estimates, info
+    return _run_pipeline(mixtures, stft_cfg, online_cfg, contrast)
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +525,8 @@ def cmd_bench(args) -> int:
             frames = rng.standard_normal((args.frames, args.bins, k)) + 1j * rng.standard_normal(
                 (args.frames, args.bins, k)
             )
-            tic = time.perf_counter()
-            for t in range(args.frames):
-                engine.process_frame(frames[t])
-            elapsed = time.perf_counter() - tic
+            _, timing = engine.separate(frames.transpose(2, 0, 1), project=False)
+            elapsed = timing["update_loop_s"]
             results[f"{method}_k{k}"] = {
                 "per_frame_ms": 1e3 * elapsed / args.frames,
                 "flops": vars(engine.flops).copy(),

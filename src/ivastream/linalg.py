@@ -1,12 +1,13 @@
-"""Dense complex vector/matrix kernels for small channel counts (K <= ~8).
+"""Dense complex matrix kernels for small channel counts (K <= ~8).
 
-Every operation accepts either a single matrix/vector or a stack of them:
-matrices have shape ``(..., K, K)`` and vectors ``(..., K)``, with the
-leading axes treated as a batch (the separation engine batches over
-frequency bins).  Solves and inversions go through a partial-pivot LU
-factorisation vectorised over the batch axis, which exposes the pivot
-magnitudes needed for the near-singularity check; numpy's black-box
-solvers do not.
+Every operation accepts either a single ``(K, K)`` matrix or a stack of
+shape ``(..., K, K)``, with the leading axes treated as a batch (the
+separation engine batches over frequency bins).  Solves and inversions go
+through a partial-pivot LU factorisation vectorised over the batch axis,
+which exposes the pivot magnitudes needed for the near-singularity check;
+numpy's black-box solvers do not.  :func:`hermitian_part` is the one
+symmetrisation behind every covariance the package builds, streaming and
+batch.
 
 ``op_counter`` tallies how many matrices were solved/inverted since the
 last reset.  The streaming ISS update path must leave it untouched; tests
@@ -24,9 +25,6 @@ from .errors import ContractViolationError, SingularMatrixError
 #: A pivot smaller than this fraction of its row's magnitude flags the
 #: matrix as numerically singular.
 SINGULAR_PIVOT_RTOL = 1e-13
-
-#: Relative tolerance used when classifying a matrix as Hermitian.
-HERMITIAN_RTOL = 1e-12
 
 
 @dataclass
@@ -54,37 +52,6 @@ def _as_matrix_batch(m, name: str = "matrix") -> tuple[np.ndarray, tuple[int, ..
     batch_shape = m.shape[:-2]
     k = m.shape[-1]
     return m.reshape(-1, k, k).astype(np.complex128, copy=False), batch_shape
-
-
-def _is_hermitian(u: np.ndarray) -> bool:
-    scale = np.max(np.abs(u)) if u.size else 0.0
-    return bool(np.allclose(u, np.conj(np.swapaxes(u, -1, -2)), atol=HERMITIAN_RTOL * max(scale, 1.0), rtol=0.0))
-
-
-def quad_form(a, U, b):
-    """Evaluate the sesquilinear form ``a^H U b``.
-
-    Broadcasts over leading axes.  When ``a`` and ``b`` are the same object
-    and ``U`` is Hermitian, the (floating-point) imaginary residue is
-    clamped and a real value is returned.
-    """
-    same = a is b
-    a_ = np.asarray(a, dtype=np.complex128)
-    b_ = np.asarray(b, dtype=np.complex128)
-    u_ = np.asarray(U, dtype=np.complex128)
-    if u_.ndim < 2 or u_.shape[-1] != u_.shape[-2]:
-        raise ContractViolationError(f"U must be square, got shape {u_.shape}")
-    k = u_.shape[-1]
-    if a_.shape[-1] != k or b_.shape[-1] != k:
-        raise ContractViolationError(
-            f"dimension mismatch: a {a_.shape}, U {u_.shape}, b {b_.shape}"
-        )
-    if not np.all(np.isfinite(u_)):
-        raise ContractViolationError("U has non-finite entries")
-    out = np.einsum("...i,...ij,...j->...", np.conj(a_), u_, b_)
-    if same and _is_hermitian(u_):
-        out = out.real
-    return out[()] if np.ndim(out) == 0 else out
 
 
 def lu_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,24 +150,7 @@ def inverse(M) -> np.ndarray:
     return inv.reshape(*batch_shape, dim, dim)
 
 
-def rank1_blend(U, alpha: float, weight, x) -> np.ndarray:
-    """Exponential blend ``alpha*U + (1 - alpha)*weight * x x^H``, re-symmetrised.
-
-    ``weight`` may be a scalar or an array broadcastable against the batch
-    axes; the output is forced conjugate-symmetric (pairwise average with
-    its Hermitian transpose) so asymmetry cannot accumulate over long runs.
-    """
-    u_ = np.asarray(U, dtype=np.complex128)
-    x_ = np.asarray(x, dtype=np.complex128)
-    w_ = np.asarray(weight, dtype=np.float64)
-    if not 0.0 <= alpha <= 1.0:
-        raise ContractViolationError(f"alpha must lie in [0, 1], got {alpha}")
-    if np.any(w_ < 0):
-        raise ContractViolationError("weight must be nonnegative")
-    if u_.ndim < 2 or u_.shape[-1] != u_.shape[-2] or x_.shape[-1] != u_.shape[-1]:
-        raise ContractViolationError(
-            f"dimension mismatch: U {u_.shape}, x {x_.shape}"
-        )
-    outer = x_[..., :, None] * np.conj(x_[..., None, :])
-    out = alpha * u_ + ((1.0 - alpha) * w_)[..., None, None] * outer
-    return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """``(m + m^H) / 2`` over the last two axes: exactly Hermitian, and equal
+    to ``m`` bit for bit when ``m`` already is."""
+    return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))

@@ -30,7 +30,12 @@ Notes on conventions:
 * Both terms of the covariance refresh are exactly Hermitian, so every
   persisted covariance is too, bit for bit.  ``x x^H`` alone is not (the
   diagonal picks up an imaginary residue under fused multiply-add), hence
-  its explicit symmetrisation.
+  its explicit symmetrisation by ``linalg.hermitian_part``.
+* The engine and the public kernels share one implementation each: the
+  refresh is :func:`update_covariance`'s expression, and the ISS and IP
+  steps run the masked kernels behind :func:`iss_vector` and
+  :func:`ip_update_row`, which raise where the engine freezes and logs.
+* :meth:`OnlineAuxIva.separate` is the package's one frame loop.
 """
 
 from __future__ import annotations
@@ -223,29 +228,51 @@ def source_activity(W: np.ndarray, frame: np.ndarray, k: int | None = None, r_fl
 
 
 def update_covariance(prev_U: np.ndarray, alpha: float, phi_r, x: np.ndarray) -> np.ndarray:
-    """One step of the autoregressive weighted-covariance recursion.
+    """One step of the autoregressive weighted-covariance recursion,
+    ``(1 - alpha) * phi_r * herm(x x^H) + alpha * herm(prev_U)``.
 
+    ``phi_r`` may be a scalar or broadcast against the batch axes of
+    ``prev_U`` (``phi[:, None]`` for a (K, F, K, K) stack).  The result is
+    exactly Hermitian; when ``prev_U`` is too, it equals the engine's
+    covariance refresh in :meth:`OnlineAuxIva.process_frame` bit for bit.
     The blend base must be the covariance persisted at the *previous
     frame*; within a frame's inner iterations the base is never the
     partially updated value.
     """
-    return linalg.rank1_blend(prev_U, alpha, phi_r, x)
+    u_ = np.asarray(prev_U, dtype=np.complex128)
+    x_ = np.asarray(x, dtype=np.complex128)
+    w_ = np.asarray(phi_r, dtype=np.float64)
+    if not 0.0 <= alpha <= 1.0:
+        raise ContractViolationError(f"alpha must lie in [0, 1], got {alpha}")
+    if np.any(w_ < 0):
+        raise ContractViolationError("weight must be nonnegative")
+    if u_.ndim < 2 or u_.shape[-1] != u_.shape[-2] or x_.shape[-1] != u_.shape[-1]:
+        raise ContractViolationError(f"dimension mismatch: U {u_.shape}, x {x_.shape}")
+    outer = linalg.hermitian_part(x_[..., :, None] * np.conj(x_[..., None, :]))
+    return ((1.0 - alpha) * w_)[..., None, None] * outer + alpha * linalg.hermitian_part(u_)
 
 
 def ip_update_row(W: np.ndarray, U_k: np.ndarray, k: int) -> np.ndarray:
     """Iterative-projection row update: solve ``(W U_k) w = e_k``, normalise.
 
     Returns the demixing *vector* w (its conjugate is stored as row k).
-    Batched over leading axes.
+    Batched over leading axes.  Raises :class:`DegenerateUpdateError`
+    naming the bins where the solve is singular or the quadratic form
+    ``w^H U_k w`` is nonpositive.
     """
-    product = np.asarray(W, dtype=np.complex128) @ np.asarray(U_k, dtype=np.complex128)
-    z = linalg.solve_unit(product, k)
-    quad = np.einsum("...i,...ij,...j->...", np.conj(z), np.asarray(U_k), z).real
-    if np.any(quad <= 0):
-        raise DegenerateUpdateError(
-            f"nonpositive quadratic form in IP update for source {k}", context=(k,)
-        )
-    return z / np.sqrt(quad)[..., None]
+    W = np.asarray(W, dtype=np.complex128)
+    z, ok = _masked_ip_vector(W, np.asarray(U_k, dtype=np.complex128), k)
+    _raise_on_bad_bins(ok, k, "singular solve or nonpositive quadratic form in IP update")
+    return z
+
+
+def _masked_ip_vector(W: np.ndarray, U_k: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    z, ok = linalg.masked_solve_unit(W @ U_k, k)
+    quad = np.einsum("...i,...ij,...j->...", np.conj(z), U_k, z).real
+    ok &= quad > 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        z = z / np.sqrt(np.maximum(quad, np.finfo(float).tiny))[..., None]
+    return z, ok
 
 
 def iss_vector(W: np.ndarray, U_all: np.ndarray, k: int) -> np.ndarray:
@@ -261,14 +288,14 @@ def iss_vector(W: np.ndarray, U_all: np.ndarray, k: int) -> np.ndarray:
     if single:
         W, U_all = W[None], U_all[:, None]
     v, ok = _masked_iss_vector(W, U_all, k)
-    if not np.all(ok):
-        bad = np.flatnonzero(~ok)
-        raise DegenerateUpdateError(
-            f"nonpositive denominator in ISS coefficients for source {k} "
-            f"at bins {tuple(int(b) for b in bad[:16])}",
-            context=(k, tuple(int(b) for b in bad[:16])),
-        )
+    _raise_on_bad_bins(ok, k, "nonpositive denominator in ISS coefficients")
     return v[0] if single else v
+
+
+def _raise_on_bad_bins(ok: np.ndarray, k: int, what: str) -> None:
+    if not np.all(ok):
+        bad = tuple(int(b) for b in np.flatnonzero(~np.atleast_1d(ok))[:16])
+        raise DegenerateUpdateError(f"{what} for source {k} at bins {bad}", context=(k, bad))
 
 
 def _masked_iss_vector(W: np.ndarray, U_all: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -381,16 +408,11 @@ class OnlineAuxIva:
 
     def _ip_step(self, k: int, t: int) -> None:
         W = self.demix
-        U_k = self._cov_next[k]
-        z, ok = linalg.masked_solve_unit(W @ U_k, k)
-        quad = np.einsum("fi,fij,fj->f", np.conj(z), U_k, z).real
-        ok &= quad > 0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            row = np.conj(z) / np.sqrt(np.maximum(quad, np.finfo(float).tiny))[:, None]
+        z, ok = _masked_ip_vector(W, self._cov_next[k], k)
         if np.all(ok):
-            W[:, k, :] = row
+            W[:, k, :] = np.conj(z)
         else:
-            W[:, k, :] = np.where(ok[:, None], row, W[:, k, :])
+            W[ok, k, :] = np.conj(z[ok])
             self.diagnostics.record("ip_degenerate", t, k, np.flatnonzero(~ok))
 
     # -- public streaming API ----------------------------------------------
@@ -420,8 +442,7 @@ class OnlineAuxIva:
                     raise ContractViolationError(f"selector produced index {idx}")
         else:
             passes, indices = 1, ()
-        outer = x[:, :, None] * np.conj(x[:, None, :])
-        outer = 0.5 * (outer + np.conj(np.swapaxes(outer, -1, -2)))
+        outer = linalg.hermitian_part(x[:, :, None] * np.conj(x[:, None, :]))
         decayed = alpha * self.covariance
         for _ in range(passes):
             phi = self.model.weight(source_activity(self.demix, x, r_floor=self.model.r_floor))
@@ -441,11 +462,15 @@ class OnlineAuxIva:
         return (self.demix @ x[:, :, None])[..., 0]
 
     def separate(self, spectrogram, project: bool = True):
-        """Stream a whole spectrogram through the engine.
+        """Stream a (K, T, F) spectrogram through the engine, frame by frame.
+
+        The engine keeps its state, so calling ``separate`` again on the
+        next frames continues the stream, bit for bit.
 
         Returns ``(separated Spectrogram, timing dict)``.  Timing separates
         the update loop (everything inside :meth:`process_frame`) from
-        back-projection, which is the only step that inverts matrices.
+        back-projection, which is the only step that inverts matrices;
+        ``project=False`` leaves the outputs unprojected.
         """
         data = spectrogram.data if isinstance(spectrogram, Spectrogram) else np.asarray(spectrogram)
         if data.ndim != 3 or data.shape[0] != self.n_src or data.shape[2] != self.n_bins:

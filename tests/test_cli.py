@@ -210,6 +210,21 @@ class TestMovingExperiment:
         pre = slice(0, switch_sample - cfg.frame_len)
         np.testing.assert_allclose(est_one[:, pre], est_all[:, pre], atol=1e-12)
 
+    def test_switch_past_the_last_frame_decides_nothing(self):
+        from dataclasses import replace
+
+        from ivastream.cli import run_moving_experiment
+        from ivastream.scenario import ScenarioConfig, build
+
+        truth = build(ScenarioConfig(n_src=2, duration_s=1.0, seed=2,
+                                     move_source=1, move_time_s=0.5))
+        truth = replace(truth, move_sample=2 * truth.mixtures.shape[1])
+        cfg = StftConfig()
+        est_all, _ = run_moving_experiment(truth, cfg, "ip", "all")
+        est_one, info_one = run_moving_experiment(truth, cfg, "ip", "one")
+        assert info_one["moving_channel"] is None
+        assert np.array_equal(est_one, est_all)
+
     def test_one_mode_requires_a_move(self):
         from ivastream.cli import run_moving_experiment
         from ivastream.errors import ContractViolationError

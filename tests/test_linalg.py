@@ -1,4 +1,4 @@
-"""Kernel-level contracts: quadratic forms, solves, inverses, blends."""
+"""Kernel-level contracts: solves, inverses, Hermitian parts."""
 
 import numpy as np
 import pytest
@@ -6,47 +6,12 @@ import pytest
 from ivastream.errors import ContractViolationError, SingularMatrixError
 from ivastream.linalg import (
     inverse,
+    hermitian_part,
     op_counter,
-    quad_form,
-    rank1_blend,
     solve_unit,
 )
 
-from conftest import random_complex, random_conditioned, random_psd
-
-
-class TestQuadForm:
-    def test_identity_basis(self):
-        e1 = np.array([1.0, 0.0], dtype=complex)
-        assert quad_form(e1, np.eye(2), e1) == pytest.approx(1.0)
-
-    def test_orthogonal_basis(self):
-        e1 = np.array([1.0, 0.0], dtype=complex)
-        e2 = np.array([0.0, 1.0], dtype=complex)
-        assert quad_form(e2, np.eye(2), e1) == pytest.approx(0.0)
-
-    def test_diagonal_closed_form(self):
-        a = np.array([1.0, 1.0j])
-        assert quad_form(a, np.diag([2.0, 3.0]), a) == pytest.approx(5.0)
-
-    def test_hermitian_same_vector_is_real(self, rng):
-        u = random_psd(rng, 4)
-        a = random_complex(rng, 4)
-        value = quad_form(a, u, a)
-        assert np.isrealobj(value) or value.imag == 0
-
-    def test_psd_nonnegative(self, rng):
-        for _ in range(50):
-            k = int(rng.integers(1, 5))
-            u = random_psd(rng, k)
-            a = random_complex(rng, k)
-            value = quad_form(a, u, a)
-            trace = float(np.trace(u).real)
-            assert value >= -1e-12 * trace * float(np.vdot(a, a).real)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ContractViolationError):
-            quad_form(np.ones(3), np.eye(2), np.ones(2))
+from conftest import random_complex, random_conditioned
 
 
 class TestSolveUnit:
@@ -116,49 +81,14 @@ class TestInverse:
             inverse(np.zeros((2, 2)))
 
 
-class TestRank1Blend:
-    def test_half_blend(self):
-        u = 2.0 * np.eye(2, dtype=complex)
-        x = np.array([1.0, 0.0], dtype=complex)
-        out = rank1_blend(u, 0.5, 1.0, x)
-        np.testing.assert_allclose(out, [[1.5, 0.0], [0.0, 1.0]])
+class TestHermitianPart:
+    def test_output_is_bitwise_hermitian(self, rng):
+        out = hermitian_part(random_complex(rng, 5, 3, 3))
+        assert np.array_equal(out, np.conj(np.swapaxes(out, -1, -2)))
 
-    def test_alpha_one_keeps_input(self, rng):
-        u = random_psd(rng, 3)
-        out = rank1_blend(u, 1.0, 5.0, random_complex(rng, 3))
-        np.testing.assert_allclose(out, u, atol=1e-15)
-
-    def test_pure_rank1(self):
-        x = np.array([1.0, 1.0j])
-        out = rank1_blend(np.eye(2, dtype=complex), 0.0, 2.0, x)
-        np.testing.assert_allclose(out, [[2.0, -2.0j], [2.0j, 2.0]])
-
-    def test_bitwise_hermitian(self, rng):
-        for _ in range(20):
-            k = int(rng.integers(1, 5))
-            out = rank1_blend(
-                random_psd(rng, k), float(rng.uniform(0, 1)), float(rng.uniform(0, 3)),
-                random_complex(rng, k),
-            )
-            assert np.array_equal(out, np.conj(out.T))
-
-    def test_preserves_psd(self, rng):
-        for _ in range(50):
-            k = int(rng.integers(1, 5))
-            out = rank1_blend(
-                random_psd(rng, k), float(rng.uniform(0, 1)), float(rng.uniform(0, 3)),
-                random_complex(rng, k),
-            )
-            eigenvalues = np.linalg.eigvalsh(out)
-            assert eigenvalues.min() >= -1e-12 * np.trace(out).real
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ContractViolationError):
-            rank1_blend(np.eye(2), 0.5, -1.0, np.ones(2))
-
-    def test_bad_alpha_rejected(self):
-        with pytest.raises(ContractViolationError):
-            rank1_blend(np.eye(2), 1.5, 1.0, np.ones(2))
+    def test_hermitian_input_is_returned_bitwise(self, rng):
+        u = hermitian_part(random_complex(rng, 5, 3, 3))
+        assert np.array_equal(hermitian_part(u), u)
 
 
 class TestOpCounter:

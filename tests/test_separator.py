@@ -77,6 +77,56 @@ class TestUpdateCovariance:
         out = update_covariance(2.0 * np.eye(2), 0.5, 1.0, np.array([1.0, 0.0]))
         np.testing.assert_allclose(out, [[1.5, 0.0], [0.0, 1.0]])
 
+    def test_alpha_one_keeps_input(self, rng):
+        u = random_psd(rng, 3)
+        out = update_covariance(u, 1.0, 5.0, random_complex(rng, 3))
+        np.testing.assert_allclose(out, u, atol=1e-15)
+
+    def test_pure_rank1(self):
+        x = np.array([1.0, 1.0j])
+        out = update_covariance(np.eye(2, dtype=complex), 0.0, 2.0, x)
+        np.testing.assert_allclose(out, [[2.0, -2.0j], [2.0j, 2.0]])
+
+    def test_bitwise_hermitian(self, rng):
+        for _ in range(20):
+            k = int(rng.integers(1, 5))
+            out = update_covariance(
+                random_psd(rng, k), float(rng.uniform(0, 1)), float(rng.uniform(0, 3)),
+                random_complex(rng, k),
+            )
+            assert np.array_equal(out, np.conj(out.T))
+
+    def test_preserves_psd(self, rng):
+        for _ in range(50):
+            k = int(rng.integers(1, 5))
+            out = update_covariance(
+                random_psd(rng, k), float(rng.uniform(0, 1)), float(rng.uniform(0, 3)),
+                random_complex(rng, k),
+            )
+            eigenvalues = np.linalg.eigvalsh(out)
+            assert eigenvalues.min() >= -1e-12 * np.trace(out).real
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ContractViolationError):
+            update_covariance(np.eye(2), 0.5, -1.0, np.ones(2))
+
+    def test_bad_alpha_rejected(self):
+        with pytest.raises(ContractViolationError):
+            update_covariance(np.eye(2), 1.5, 1.0, np.ones(2))
+
+    @pytest.mark.parametrize("n_src", [1, 3])
+    def test_matches_engine_refresh_bitwise(self, rng, n_src):
+        n_bins, alpha = 8, 0.97
+        engine = OnlineAuxIva(n_bins, n_src, OnlineConfig(n_iter=1, alpha=alpha))
+        frames = random_complex(rng, 4, n_bins, n_src)
+        for x in frames[:3]:
+            engine.process_frame(x)
+        u_prev, w_prev, x = engine.covariance.copy(), engine.demix.copy(), frames[3]
+        phi = engine.model.weight(source_activity(w_prev, x, r_floor=engine.model.r_floor))
+        engine.process_frame(x)
+        expected = update_covariance(u_prev, alpha, phi[:, None], x)
+        assert np.array_equal(engine.covariance, expected)
+
 
 class TestIpUpdateRow:
     def test_identity_fixed_point(self):
@@ -105,6 +155,28 @@ class TestIpUpdateRow:
         w = random_complex(rng, 2, 2) + 2 * np.eye(2)
         with pytest.raises(DegenerateUpdateError):
             ip_update_row(w, -np.eye(2), 0)
+
+    def test_singular_solve_names_bad_bins(self, rng):
+        n_src, n_bins, k = 3, 5, 1
+        w, u = random_state(rng, n_src, n_bins)
+        u_k = u[k].copy()
+        u_k[[1, 3]] = 0.0  # W U_k = 0 on these bins
+        with pytest.raises(DegenerateUpdateError) as excinfo:
+            ip_update_row(w, u_k, k)
+        assert excinfo.value.context == (k, (1, 3))
+
+    @pytest.mark.parametrize("n_src", [1, 3])
+    def test_matches_engine_row_bitwise(self, rng, n_src):
+        n_bins, k = 6, n_src - 1
+        engine = OnlineAuxIva(
+            n_bins, n_src, OnlineConfig(method="ip", n_iter=1, selector=lambda t: (k,))
+        )
+        w0, u0 = random_state(rng, n_src, n_bins)
+        engine.demix[:] = w0
+        engine.covariance[:] = u0
+        engine.process_frame(random_complex(rng, n_bins, n_src))
+        expected = np.conj(ip_update_row(w0, engine.covariance[k], k))
+        assert np.array_equal(engine.demix[:, k, :], expected)
 
 
 class TestIssVector:
@@ -433,6 +505,24 @@ class TestEngine:
         assert all(not np.array_equal(engine.demix[f], before[f]) for f in good)
         assert engine.diagnostics.total == bad.size * len(updated)
         assert {e["f"] for e in engine.diagnostics.events} == set(bad.tolist())
+
+    @pytest.mark.parametrize("method", ["iss", "ip"])
+    @pytest.mark.parametrize("n_src", [1, 3])
+    @pytest.mark.parametrize("split", [3, 4])
+    def test_chunked_separate_continues_the_stream(self, rng, method, n_src, split):
+        # update_period=2 updates on odd 1-based frames, so split=3 resumes
+        # the stream on a skip frame and split=4 on an update frame
+        n_bins, n_frames = 6, 9
+        data = self.frames(rng, n_src, n_frames, n_bins)
+        cfg = OnlineConfig(method=method, update_period=2)
+        whole = OnlineAuxIva(n_bins, n_src, cfg)
+        expected, _ = whole.separate(data)
+        engine = OnlineAuxIva(n_bins, n_src, cfg)
+        head, _ = engine.separate(data[:, :split])
+        rest, _ = engine.separate(data[:, split:])
+        assert np.array_equal(np.concatenate([head.data, rest.data], axis=1), expected.data)
+        assert np.array_equal(engine.demix, whole.demix)
+        assert np.array_equal(engine.covariance, whole.covariance)
 
     def test_frame_shape_validated(self):
         engine = OnlineAuxIva(4, 2)
