@@ -166,7 +166,10 @@ def batch_auxiva(problem: BatchProblem, method: str = "iss") -> BatchResult:
             else:
                 Y, W = _sweep_iss_inplace(Y, W, problem.model)
         except RuntimeError as exc:
-            raise type(exc)(f"sweep {sweep + 1}: {exc}") from exc
+            # prefix the message in place: the error keeps its type and its
+            # context/indices attributes
+            exc.args = (f"sweep {sweep + 1}: {exc}",)
+            raise
         trace.append(cost(W, spec, problem.model))
     separated = Y if method == "iss_inplace" else _demix(W, X)
     return BatchResult(

@@ -2,12 +2,19 @@
 
 Every operation accepts either a single ``(K, K)`` matrix or a stack of
 shape ``(..., K, K)``, with the leading axes treated as a batch (the
-separation engine batches over frequency bins).  Solves and inversions go
-through a partial-pivot LU factorisation vectorised over the batch axis,
-which exposes the pivot magnitudes needed for the near-singularity check;
-numpy's black-box solvers do not.  :func:`hermitian_part` is the one
-symmetrisation behind every covariance the package builds, streaming and
-batch.
+separation engine batches over frequency bins).  Internally the kernels
+keep the **batch axis last**: a stack is moved to a C-contiguous
+``(K, K, B)`` array, so every step is elementwise numpy over contiguous
+length-B vectors, with loops and reductions over K only.  Moving the axes
+costs no copy when the caller's stack is itself a view of bins-last
+memory, as the engine's state is; results are handed back as views with
+the caller's axis order.
+
+Solves and inversions go through a partial-pivot LU factorisation
+vectorised over the batch axis, which exposes the pivot magnitudes needed
+for the near-singularity check; numpy's black-box solvers do not.
+:func:`hermitian_part` is the one symmetrisation behind every covariance
+the package builds, streaming and batch.
 
 ``op_counter`` tallies how many matrices were solved/inverted since the
 last reset.  The streaming ISS update path must leave it untouched; tests
@@ -43,7 +50,8 @@ op_counter = OpCounter()
 
 
 def _as_matrix_batch(m, name: str = "matrix") -> tuple[np.ndarray, tuple[int, ...]]:
-    """Coerce to a complex (B, K, K) stack; returns (stack, original batch shape)."""
+    """Coerce to a complex bins-last (K, K, B) stack; returns (stack,
+    original batch shape)."""
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ContractViolationError(f"{name} must be square, got shape {m.shape}")
@@ -51,53 +59,55 @@ def _as_matrix_batch(m, name: str = "matrix") -> tuple[np.ndarray, tuple[int, ..
         raise ContractViolationError(f"{name} has non-finite entries")
     batch_shape = m.shape[:-2]
     k = m.shape[-1]
-    return m.reshape(-1, k, k).astype(np.complex128, copy=False), batch_shape
+    stack = np.moveaxis(m, (-2, -1), (0, 1)).reshape(k, k, -1)
+    return stack.astype(np.complex128, copy=False), batch_shape
 
 
 def lu_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partial-pivot LU of a (B, K, K) stack, vectorised over the batch.
 
-    Returns ``(lu, perm, ok)`` where ``lu`` packs L (unit diagonal,
-    implicit) and U, ``perm`` holds the row permutation, and ``ok`` flags
-    batch members whose every pivot cleared the relative threshold.
+    Returns ``(lu, perm, ok)`` where ``lu`` (B, K, K) packs L (unit
+    diagonal, implicit) and U, ``perm`` (B, K) holds the row permutation,
+    and ``ok`` flags batch members whose every pivot cleared the relative
+    threshold.  Pivot ties go to the first candidate row.
     """
-    lu = np.array(m, dtype=np.complex128)
-    nb, k = lu.shape[0], lu.shape[-1]
-    perm = np.tile(np.arange(k), (nb, 1))
+    lu = np.array(np.moveaxis(np.asarray(m), 0, -1), dtype=np.complex128, order="C")
+    k, nb = lu.shape[0], lu.shape[-1]
+    perm = np.repeat(np.arange(k)[:, None], nb, axis=1)
     # per-row magnitude of the *original* rows, permuted alongside
-    scale = np.maximum(np.max(np.abs(lu), axis=-1), np.finfo(float).tiny)
+    scale = np.maximum(np.max(np.abs(lu), axis=1), np.finfo(float).tiny)
     ok = np.ones(nb, dtype=bool)
-    rows = np.arange(nb)
     for j in range(k):
-        p = np.argmax(np.abs(lu[:, j:, j]), axis=1) + j
-        swap = p != j
-        if np.any(swap):
-            bi, pi = rows[swap], p[swap]
-            lu[bi, j], lu[bi, pi] = lu[bi, pi], lu[bi, j]
-            perm[bi, j], perm[bi, pi] = perm[bi, pi], perm[bi, j]
-            scale[bi, j], scale[bi, pi] = scale[bi, pi], scale[bi, j]
-        piv = lu[:, j, j]
-        bad = np.abs(piv) < SINGULAR_PIVOT_RTOL * scale[:, j]
+        p = np.argmax(np.abs(lu[j:, j]), axis=0) + j
+        for i in range(j + 1, k):
+            take = p == i
+            if np.any(take):
+                for a in (lu, perm, scale):
+                    a[j], a[i] = np.where(take, a[i], a[j]), np.where(take, a[j], a[i])
+        piv = lu[j, j]
+        bad = np.abs(piv) < SINGULAR_PIVOT_RTOL * scale[j]
         ok &= ~bad
         safe = np.where(bad, 1.0, piv)
         if j + 1 < k:
-            mult = lu[:, j + 1 :, j] / safe[:, None]
-            lu[:, j + 1 :, j] = mult
-            lu[:, j + 1 :, j + 1 :] -= mult[:, :, None] * lu[:, j : j + 1, j + 1 :]
-    return lu, perm, ok
+            mult = lu[j + 1 :, j] / safe
+            lu[j + 1 :, j] = mult
+            lu[j + 1 :, j + 1 :] -= mult[:, None] * lu[j, j + 1 :]
+    return np.moveaxis(lu, -1, 0), perm.T, ok
 
 
 def lu_solve(lu: np.ndarray, perm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve against an LU stack from :func:`lu_factor`; ``rhs`` is (B, K, R)."""
-    k = lu.shape[-1]
-    x = np.take_along_axis(np.asarray(rhs, dtype=np.complex128), perm[:, :, None], axis=1)
+    lu = np.ascontiguousarray(np.moveaxis(lu, 0, -1))
+    k = lu.shape[0]
+    rhs = np.moveaxis(np.asarray(rhs, dtype=np.complex128), 0, -1)
+    x = np.take_along_axis(rhs, perm.T[:, None, :], axis=0)
     for j in range(1, k):
-        x[:, j] -= np.einsum("bi,bir->br", lu[:, j, :j], x[:, :j])
+        x[j] -= np.sum(lu[j, :j, None] * x[:j], axis=0)
     for j in range(k - 1, -1, -1):
         if j + 1 < k:
-            x[:, j] -= np.einsum("bi,bir->br", lu[:, j, j + 1 :], x[:, j + 1 :])
-        x[:, j] /= lu[:, j, j][:, None]
-    return x
+            x[j] -= np.sum(lu[j, j + 1 :, None] * x[j + 1 :], axis=0)
+        x[j] /= lu[j, j]
+    return np.moveaxis(x, -1, 0)
 
 
 def masked_solve_unit(M, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -107,11 +117,11 @@ def masked_solve_unit(M, k: int) -> tuple[np.ndarray, np.ndarray]:
     streaming engine, whose per-bin error policy is freeze-and-log.
     """
     stack, batch_shape = _as_matrix_batch(M, "M")
-    nb, dim = stack.shape[0], stack.shape[-1]
+    dim, nb = stack.shape[0], stack.shape[-1]
     if not 0 <= k < dim:
         raise ContractViolationError(f"source index {k} out of range for K={dim}")
     op_counter.solves += nb
-    lu, perm, ok = lu_factor(stack)
+    lu, perm, ok = lu_factor(np.moveaxis(stack, -1, 0))
     rhs = np.zeros((nb, dim, 1), dtype=np.complex128)
     rhs[:, k, 0] = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -137,20 +147,20 @@ def solve_unit(M, k: int) -> np.ndarray:
 def inverse(M) -> np.ndarray:
     """Matrix inverse of a (stack of) square matrices via the LU kernel."""
     stack, batch_shape = _as_matrix_batch(M, "M")
-    nb, dim = stack.shape[0], stack.shape[-1]
+    dim, nb = stack.shape[0], stack.shape[-1]
     op_counter.inversions += nb
-    lu, perm, ok = lu_factor(stack)
+    lu, perm, ok = lu_factor(np.moveaxis(stack, -1, 0))
     if not np.all(ok):
         where = tuple(int(i) for i in np.flatnonzero(~ok)[:16])
         raise SingularMatrixError(
             f"singular matrix in inverse at batch indices {where}", indices=where
         )
-    rhs = np.tile(np.eye(dim, dtype=np.complex128), (nb, 1, 1))
+    rhs = np.broadcast_to(np.eye(dim, dtype=np.complex128), (nb, dim, dim))
     inv = lu_solve(lu, perm, rhs)
     return inv.reshape(*batch_shape, dim, dim)
 
 
-def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """``(m + m^H) / 2`` over the last two axes: exactly Hermitian, and equal
-    to ``m`` bit for bit when ``m`` already is."""
-    return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
+def hermitian_part(m: np.ndarray, axes: tuple[int, int] = (-2, -1)) -> np.ndarray:
+    """``(m + m^H) / 2`` over the matrix ``axes`` (the last two by default):
+    exactly Hermitian, and equal to ``m`` bit for bit when ``m`` already is."""
+    return 0.5 * (m + np.conj(np.swapaxes(m, *axes)))

@@ -36,6 +36,14 @@ Notes on conventions:
   steps run the masked kernels behind :func:`iss_vector` and
   :func:`ip_update_row`, which raise where the engine freezes and logs.
 * :meth:`OnlineAuxIva.separate` is the package's one frame loop.
+
+Storage layout: the engine keeps its state **bins-last**, W as a
+C-contiguous (K, K, F) array and U as (K, K, K, F), so every per-bin
+kernel is elementwise numpy over contiguous length-F vectors, with loops
+and reductions over K only.  :attr:`OnlineAuxIva.demix` (F, K, K) and
+:attr:`OnlineAuxIva.covariance` (K, F, K, K) are writable views of that
+state.  The public functions keep the (F, ...) shapes and move axes on
+entry, which costs no copy for the engine's own views.
 """
 
 from __future__ import annotations
@@ -215,16 +223,46 @@ class DiagnosticsLog:
         return sum(self.counts.values())
 
 
+def _matrices_last(m, batch: tuple | None = None) -> np.ndarray:
+    # (..., K, K) -> contiguous complex (K, K, ...), broadcast to ``batch``
+    # if given; no copy for a view of bins-last memory
+    m = np.asarray(m, dtype=np.complex128)
+    if batch is not None:
+        m = np.broadcast_to(m, batch + m.shape[-2:])
+    return np.ascontiguousarray(np.moveaxis(m, (-2, -1), (0, 1)))
+
+
+def _vectors_last(v, batch: tuple | None = None) -> np.ndarray:
+    # (..., K) -> contiguous complex (K, ...), broadcast to ``batch`` if given
+    v = np.asarray(v, dtype=np.complex128)
+    if batch is not None:
+        v = np.broadcast_to(v, batch + v.shape[-1:])
+    return np.ascontiguousarray(np.moveaxis(v, -1, 0))
+
+
+def _demix(W: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # bins-last y = W x: (K, K, ...) against (K, ...)
+    return np.sum(W * x[None], axis=1)
+
+
+def _outer(x: np.ndarray) -> np.ndarray:
+    # bins-last herm(x x^H): (K, ...) -> (K, K, ...)
+    return linalg.hermitian_part(x[:, None] * np.conj(x[None]), axes=(0, 1))
+
+
 def source_activity(W: np.ndarray, frame: np.ndarray, k: int | None = None, r_floor: float = 1e-8):
     """Per-source activity ``r_k = sqrt(sum_f |w_k,f^H x_f|^2)``, floored.
 
     ``W`` is (F, K, K), ``frame`` is (F, K).  Returns a scalar for a given
     ``k`` or the full length-K vector when ``k`` is None.
     """
-    y = (W @ frame[:, :, None])[..., 0]
-    r = np.sqrt(np.sum(np.abs(y) ** 2, axis=0))
-    r = np.maximum(r, r_floor)
+    r = _activity(_matrices_last(W), _vectors_last(frame), r_floor)
     return float(r[k]) if k is not None else r
+
+
+def _activity(W: np.ndarray, x: np.ndarray, r_floor: float) -> np.ndarray:
+    y = _demix(W, x)
+    return np.maximum(np.sqrt(np.sum(y.real**2 + y.imag**2, axis=-1)), r_floor)
 
 
 def update_covariance(prev_U: np.ndarray, alpha: float, phi_r, x: np.ndarray) -> np.ndarray:
@@ -248,8 +286,11 @@ def update_covariance(prev_U: np.ndarray, alpha: float, phi_r, x: np.ndarray) ->
         raise ContractViolationError("weight must be nonnegative")
     if u_.ndim < 2 or u_.shape[-1] != u_.shape[-2] or x_.shape[-1] != u_.shape[-1]:
         raise ContractViolationError(f"dimension mismatch: U {u_.shape}, x {x_.shape}")
-    outer = linalg.hermitian_part(x_[..., :, None] * np.conj(x_[..., None, :]))
-    return ((1.0 - alpha) * w_)[..., None, None] * outer + alpha * linalg.hermitian_part(u_)
+    batch = np.broadcast_shapes(u_.shape[:-2], x_.shape[:-1], w_.shape)
+    u = _matrices_last(u_, batch)
+    outer = _outer(_vectors_last(x_, batch))
+    out = ((1.0 - alpha) * w_) * outer + alpha * linalg.hermitian_part(u, axes=(0, 1))
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def ip_update_row(W: np.ndarray, U_k: np.ndarray, k: int) -> np.ndarray:
@@ -260,18 +301,21 @@ def ip_update_row(W: np.ndarray, U_k: np.ndarray, k: int) -> np.ndarray:
     naming the bins where the solve is singular or the quadratic form
     ``w^H U_k w`` is nonpositive.
     """
-    W = np.asarray(W, dtype=np.complex128)
-    z, ok = _masked_ip_vector(W, np.asarray(U_k, dtype=np.complex128), k)
+    batch = np.broadcast_shapes(np.shape(W)[:-2], np.shape(U_k)[:-2])
+    z, ok = _masked_ip_vector(_matrices_last(W, batch), _matrices_last(U_k, batch), k)
     _raise_on_bad_bins(ok, k, "singular solve or nonpositive quadratic form in IP update")
-    return z
+    return np.moveaxis(z, 0, -1)
 
 
 def _masked_ip_vector(W: np.ndarray, U_k: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    z, ok = linalg.masked_solve_unit(W @ U_k, k)
-    quad = np.einsum("...i,...ij,...j->...", np.conj(z), U_k, z).real
+    # bins-last: W, U_k (K, K, ...) -> z (K, ...), ok (...)
+    WU = np.sum(W[:, :, None] * U_k[None], axis=1)
+    z, ok = linalg.masked_solve_unit(np.moveaxis(WU, (0, 1), (-2, -1)), k)
+    z = np.moveaxis(z, -1, 0)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        quad = np.sum(np.conj(z) * _demix(U_k, z), axis=0).real
+        z = z / np.sqrt(np.maximum(quad, np.finfo(float).tiny))
     ok &= quad > 0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        z = z / np.sqrt(np.maximum(quad, np.finfo(float).tiny))[..., None]
     return z, ok
 
 
@@ -282,14 +326,10 @@ def iss_vector(W: np.ndarray, U_all: np.ndarray, k: int) -> np.ndarray:
     the per-source weighted covariances.  ``v_m = (w_m^H U_m w_k)/(w_k^H
     U_m w_k)`` for m != k and ``v_k = 1 - (w_k^H U_k w_k)^{-1/2}``.
     """
-    W = np.asarray(W, dtype=np.complex128)
-    U_all = np.asarray(U_all, dtype=np.complex128)
-    single = W.ndim == 2
-    if single:
-        W, U_all = W[None], U_all[:, None]
-    v, ok = _masked_iss_vector(W, U_all, k)
+    U_all = np.moveaxis(np.asarray(U_all, dtype=np.complex128), (-2, -1), (1, 2))
+    v, ok = _masked_iss_vector(_matrices_last(W), np.ascontiguousarray(U_all), k)
     _raise_on_bad_bins(ok, k, "nonpositive denominator in ISS coefficients")
-    return v[0] if single else v
+    return np.moveaxis(v, 0, -1)
 
 
 def _raise_on_bad_bins(ok: np.ndarray, k: int, what: str) -> None:
@@ -299,17 +339,25 @@ def _raise_on_bad_bins(ok: np.ndarray, k: int, what: str) -> None:
 
 
 def _masked_iss_vector(W: np.ndarray, U_all: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    # p[m, f, :] = U_m,f w_k,f  (in row storage: U @ conj(row k))
-    p = (U_all @ np.conj(W[:, k, :])[None, :, :, None])[..., 0]
-    num = np.einsum("fmi,mfi->fm", W, p)
-    den = np.einsum("fi,mfi->fm", W[:, k, :], p).real
-    ok = np.all(den > 0, axis=1)
+    # bins-last: W (K, K, ...), U_all (K, K, K, ...) -> v (K, ...), ok (...)
+    # p[m] = U_m w_k  (in row storage: U_m @ conj(row k))
+    p = np.sum(U_all * np.conj(W[k]), axis=2)
+    num = np.sum(W * p, axis=1)
+    den = np.sum(W[k] * p, axis=1).real
+    ok = np.all(den > 0, axis=0)
     den = np.maximum(den, DENOMINATOR_FLOOR)
     v = num / den
-    diag = 1.0 / np.sqrt(den[:, k])
-    v[:, k] = 1.0 - diag
+    diag = 1.0 / np.sqrt(den[k])
+    v[k] = 1.0 - diag
     ok &= diag >= ISS_DIAGONAL_FLOOR
     return v, ok
+
+
+def _iss_apply(W: np.ndarray, v: np.ndarray, k: int, ok=True) -> None:
+    # bins-last and in place: W <- W - v w_k^H, with a zero step where not ok
+    if not np.all(ok):
+        v = np.where(ok, v, 0.0)
+    W -= v[:, None] * W[k]
 
 
 def iss_apply(W: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
@@ -325,7 +373,10 @@ def iss_apply(W: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
         raise DegenerateUpdateError(
             f"ISS update for source {k} would annihilate its own row", context=(k,)
         )
-    return W - v[..., :, None] * W[..., k, :][..., None, :]
+    batch = np.broadcast_shapes(W.shape[:-2], v.shape[:-1])
+    out = _matrices_last(W, batch).copy()  # a new array, never the caller's
+    _iss_apply(out, _vectors_last(v, batch), k)
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def project_back(W: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -386,33 +437,38 @@ class OnlineAuxIva:
 
     def reset(self) -> None:
         """Reinitialise demixing matrices, covariances and counters."""
-        eye = np.eye(self.n_src, dtype=np.complex128)
-        self.demix = np.tile(eye, (self.n_bins, 1, 1))
-        self.covariance = np.tile(
-            eye * self.init_covariance_scale, (self.n_src, self.n_bins, 1, 1)
-        )
-        self._cov_next = np.empty_like(self.covariance)
+        eye = np.eye(self.n_src, dtype=np.complex128)[:, :, None]
+        self._W = np.repeat(eye, self.n_bins, axis=2)
+        self._U = np.repeat(self.init_covariance_scale * self._W[None], self.n_src, axis=0)
+        self._U_next = np.empty_like(self._U)
         self.diagnostics = DiagnosticsLog()
         self.flops.reset()
         self._t = 0
 
+    @property
+    def demix(self) -> np.ndarray:
+        """The (F, K, K) demixing matrices, a writable view of the state."""
+        return np.moveaxis(self._W, -1, 0)
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """The (K, F, K, K) weighted covariances, a writable view of the state."""
+        return np.moveaxis(self._U, -1, 1)
+
     # -- demixing updates, whole-array over bins ---------------------------
 
     def _iss_step(self, k: int, t: int) -> None:
-        W = self.demix
-        v, ok = _masked_iss_vector(W, self._cov_next, k)
-        if not np.all(ok):
-            v[~ok] = 0.0  # degenerate bins keep their rows
+        v, ok = _masked_iss_vector(self._W, self._U_next, k)
+        if not np.all(ok):  # degenerate bins keep their rows
             self.diagnostics.record("iss_degenerate", t, k, np.flatnonzero(~ok))
-        W -= v[:, :, None] * W[:, k, None, :]
+        _iss_apply(self._W, v, k, ok)
 
     def _ip_step(self, k: int, t: int) -> None:
-        W = self.demix
-        z, ok = _masked_ip_vector(W, self._cov_next[k], k)
+        z, ok = _masked_ip_vector(self._W, self._U_next[k], k)
         if np.all(ok):
-            W[:, k, :] = np.conj(z)
+            self._W[k] = np.conj(z)
         else:
-            W[ok, k, :] = np.conj(z[ok])
+            self._W[k] = np.where(ok, np.conj(z), self._W[k])
             self.diagnostics.record("ip_degenerate", t, k, np.flatnonzero(~ok))
 
     # -- public streaming API ----------------------------------------------
@@ -431,6 +487,7 @@ class OnlineAuxIva:
             raise ContractViolationError(
                 f"frame must have shape ({self.n_bins}, {self.n_src}), got {x.shape}"
             )
+        x = np.ascontiguousarray(x.T)
         self._t += 1
         t = self._t
         k, f = self.n_src, self.n_bins
@@ -442,13 +499,13 @@ class OnlineAuxIva:
                     raise ContractViolationError(f"selector produced index {idx}")
         else:
             passes, indices = 1, ()
-        outer = linalg.hermitian_part(x[:, :, None] * np.conj(x[:, None, :]))
-        decayed = alpha * self.covariance
+        outer = _outer(x)
+        decayed = alpha * self._U
         for _ in range(passes):
-            phi = self.model.weight(source_activity(self.demix, x, r_floor=self.model.r_floor))
+            phi = self.model.weight(_activity(self._W, x, self.model.r_floor))
             self.flops.activity += FlopCounter.activity_flops(k, f)
-            np.multiply(((1.0 - alpha) * phi)[:, None, None, None], outer, out=self._cov_next)
-            self._cov_next += decayed
+            np.multiply(((1.0 - alpha) * phi)[:, None, None, None], outer, out=self._U_next)
+            self._U_next += decayed
             self.flops.covariance += k * FlopCounter.covariance_flops(k, f)
             for idx in indices:
                 if self.config.method == "iss":
@@ -458,8 +515,8 @@ class OnlineAuxIva:
                 else:
                     self._ip_step(idx, t)
                     self.flops.ip_update += FlopCounter.ip_update_flops(k, f)
-        self.covariance, self._cov_next = self._cov_next, self.covariance
-        return (self.demix @ x[:, :, None])[..., 0]
+        self._U, self._U_next = self._U_next, self._U
+        return _demix(self._W, x).T
 
     def separate(self, spectrogram, project: bool = True):
         """Stream a (K, T, F) spectrogram through the engine, frame by frame.
@@ -482,7 +539,7 @@ class OnlineAuxIva:
         update_s = 0.0
         project_s = 0.0
         for t in range(n_frames):
-            x = np.ascontiguousarray(data[:, t, :].T)
+            x = data[:, t, :].T
             tic = time.perf_counter()
             y = self.process_frame(x)
             update_s += time.perf_counter() - tic

@@ -100,3 +100,37 @@ def cost_reference(data, W, kind: str, n_bins: int, r_floor: float = 1e-8):
     for f in range(n_bins):
         total -= 2.0 * np.log(abs(np.linalg.det(W[f])))
     return total
+
+
+def lu_reference(m, rtol: float):
+    """Partial-pivot LU of one matrix, one row operation at a time.
+
+    Follows the package's pivot rule: the largest ``|entry|`` in the
+    column wins and a tie goes to the first candidate row; a pivot below
+    ``rtol`` times its original row's largest ``|entry|`` flags the matrix
+    and is replaced by 1.  The arithmetic runs on length-1 numpy slices
+    rather than numpy scalars, so that it rounds as numpy's array loops do.
+    Returns ``(lu, perm, ok)``.
+    """
+    a = np.array(m, dtype=complex)
+    n = a.shape[0]
+    perm = list(range(n))
+    scale = [max(float(np.max(np.abs(row))), np.finfo(float).tiny) for row in a]
+    ok = True
+    for j in range(n):
+        mags = np.abs(a[:, j])
+        p = j
+        for i in range(j + 1, n):
+            if mags[i] > mags[p]:
+                p = i
+        a[[j, p]] = a[[p, j]]
+        perm[j], perm[p] = perm[p], perm[j]
+        scale[j], scale[p] = scale[p], scale[j]
+        piv = a[j, j : j + 1]
+        if np.abs(piv)[0] < rtol * scale[j]:
+            ok = False
+            piv = np.ones(1, dtype=complex)
+        for i in range(j + 1, n):
+            a[i, j : j + 1] = a[i, j : j + 1] / piv
+            a[i, j + 1 :] -= a[i, j : j + 1] * a[j, j + 1 :]
+    return a, perm, ok

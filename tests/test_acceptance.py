@@ -189,6 +189,7 @@ def test_criterion_06_static_separation_quality():
         assert elapsed <= 300.0
 
 
+@pytest.mark.slow
 def test_criterion_07_dynamic_scenario_orderings(dynamic_experiment):
     with criterion(7, "moving source: ISS(one) tracks, IP(one) does not (5-seed medians)"):
         runs = dynamic_experiment
@@ -207,6 +208,7 @@ def test_criterion_07_dynamic_scenario_orderings(dynamic_experiment):
         assert iss_gap <= 3.0
 
 
+@pytest.mark.slow
 def test_criterion_08_runtime_orderings(dynamic_experiment):
     with criterion(8, "update-loop wall clock: one < all for both ISS and IP"):
         runs = dynamic_experiment

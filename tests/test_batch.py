@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ivastream.batch import BatchProblem, batch_auxiva, batch_weighted_covariance, cost
-from ivastream.errors import ContractViolationError
+from ivastream.errors import ContractViolationError, DegenerateUpdateError
 from ivastream.separator import ContrastModel
 from ivastream.stft import Spectrogram
 
@@ -170,3 +170,14 @@ class TestBatchAuxiva:
         for method in ("ip", "iss"):
             result = batch_auxiva(BatchProblem(spec, model, n_iter=6), method)
             assert np.all(np.diff(result.cost_trace) <= 1e-9)
+
+    @pytest.mark.parametrize("method", ["iss", "ip"])
+    def test_sweep_error_keeps_its_context(self, rng, method):
+        data = random_complex(rng, 2, 40, 5)
+        data[:, :, 3] = 0.0  # bin 3 has zero covariance for every source
+        problem = BatchProblem(Spectrogram(data), ContrastModel("laplace", n_bins=5))
+        with pytest.raises(DegenerateUpdateError) as excinfo:
+            batch_auxiva(problem, method)
+        assert str(excinfo.value).startswith("sweep 1: ")
+        k, bins = excinfo.value.context
+        assert k == 0 and bins == (3,)

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivastream.errors import ContractViolationError, DegenerateUpdateError
 from ivastream.linalg import inverse, op_counter
@@ -210,6 +212,17 @@ class TestIssApply:
         w = random_complex(rng, 2, 2)
         with pytest.raises(DegenerateUpdateError):
             iss_apply(w, np.array([1.0, 0.3]), 0)
+
+    def test_returns_a_new_array(self, rng):
+        engine = OnlineAuxIva(5, 3)
+        engine.demix[:] = random_complex(rng, 5, 3, 3)
+        before = engine.demix.copy()
+        v = random_complex(rng, 5, 3)
+        out = iss_apply(engine.demix, v, 1)
+        assert np.array_equal(engine.demix, before)
+        assert not np.shares_memory(out, engine.demix)
+        expected = before - v[:, :, None] * before[:, 1, None, :]
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15 * np.max(np.abs(expected)))
 
 
 class TestIssInvariants:
@@ -558,3 +571,46 @@ class TestEngine:
         growth = tracemalloc.get_traced_memory()[0] - baseline
         tracemalloc.stop()
         assert growth < 256_000  # temporaries are freed; state does not grow
+
+
+class TestEngineLayoutProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_src=st.integers(1, 4),
+        n_bins=st.integers(1, 9),
+        method=st.sampled_from(["iss", "ip"]),
+        n_iter=st.sampled_from([1, 2]),
+        update_period=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_state_views_and_frames_match_reference(
+        self, n_src, n_bins, method, n_iter, update_period, seed
+    ):
+        # each pair of frames restarts from a state written through the
+        # views, once before the stream and once mid-stream
+        rng = np.random.default_rng(seed)
+        alpha = 0.9
+        engine = OnlineAuxIva(
+            n_bins, n_src,
+            OnlineConfig(method=method, n_iter=n_iter, alpha=alpha, update_period=update_period),
+        )
+        frames = random_complex(rng, 4, n_bins, n_src)
+        for t, x in enumerate(frames, start=1):
+            if t % 2 == 1:
+                w_ref, u_ref = random_state(rng, n_src, n_bins)
+                engine.demix[:] = w_ref
+                engine.covariance[:] = u_ref
+            y = engine.process_frame(x)
+            update = (t - 1) % update_period == 0
+            y_ref, w_ref, u_ref = online_frame_reference(
+                w_ref, u_ref, x, alpha, n_iter if update else 1,
+                range(n_src) if update else (), method,
+            )
+            np.testing.assert_allclose(y, y_ref, atol=1e-12)
+            np.testing.assert_allclose(engine.demix, w_ref, atol=1e-12)
+            np.testing.assert_allclose(engine.covariance, u_ref, atol=1e-12)
+        assert engine.demix.shape == (n_bins, n_src, n_src)
+        assert engine.covariance.shape == (n_src, n_bins, n_src, n_src)
+        # views of one state, not copies
+        assert np.shares_memory(engine.demix, engine.demix)
+        assert np.shares_memory(engine.covariance, engine.covariance)
