@@ -1,4 +1,7 @@
-"""Command-line orchestration: simulate | separate | evaluate | demo | bench.
+"""Command-line orchestration: simulate | separate | evaluate | demo.
+
+``run_separation`` and ``run_moving_experiment`` are the experiment
+pipeline behind ``separate`` and ``demo``, reusable from Python.
 
 Exit codes: 0 on success, 2 on usage errors (bad flags, malformed config,
 unusable input files), 1 on runtime failures.
@@ -350,7 +353,7 @@ def _online_config_from_args(args, n_src: int, stft_cfg: StftConfig, switch_hint
 
 def cmd_separate(args) -> int:
     rate, mixtures = read_wav(args.mixture)
-    stft_cfg = StftConfig(frame_len=args.frame_len, hop=args.frame_len // 2, sample_rate=rate)
+    stft_cfg = StftConfig(frame_len=args.frame_len, sample_rate=rate)
     if mixtures.shape[1] < stft_cfg.frame_len:
         raise UsageError(
             f"input of {mixtures.shape[1]} samples is shorter than one STFT frame"
@@ -514,34 +517,6 @@ def cmd_demo(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    channels = [int(c) for c in args.channels.split(",")]
-    results = {}
-    rng = np.random.default_rng(args.seed)
-    for k in channels:
-        for method in ("iss", "ip"):
-            cfg = OnlineConfig(method=method, selector=UpdateSchedule(before=(0,)))
-            engine = OnlineAuxIva(args.bins, k, cfg)
-            frames = rng.standard_normal((args.frames, args.bins, k)) + 1j * rng.standard_normal(
-                (args.frames, args.bins, k)
-            )
-            _, timing = engine.separate(frames.transpose(2, 0, 1), project=False)
-            elapsed = timing["update_loop_s"]
-            results[f"{method}_k{k}"] = {
-                "per_frame_ms": 1e3 * elapsed / args.frames,
-                "flops": vars(engine.flops).copy(),
-            }
-            print(
-                f"{method:3s} K={k}: {1e3 * elapsed / args.frames:8.3f} ms/frame "
-                f"(one-source updates, {args.bins} bins)"
-            )
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(results, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
@@ -603,14 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-iter", type=int, default=2)
     p.add_argument("--segment-len", type=int, default=metrics.DEFAULT_SEGMENT_LEN)
     p.set_defaults(func=cmd_demo)
-
-    p = sub.add_parser("bench", help="per-frame engine micro-benchmark")
-    p.add_argument("--channels", default="2,4,8")
-    p.add_argument("--bins", type=int, default=513)
-    p.add_argument("--frames", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", help="optional JSON output path")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

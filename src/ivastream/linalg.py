@@ -1,20 +1,17 @@
 """Dense complex matrix kernels for small channel counts (K <= ~8).
 
-Every operation accepts either a single ``(K, K)`` matrix or a stack of
-shape ``(..., K, K)``, with the leading axes treated as a batch (the
-separation engine batches over frequency bins).  Internally the kernels
-keep the **batch axis last**: a stack is moved to a C-contiguous
-``(K, K, B)`` array, so every step is elementwise numpy over contiguous
-length-B vectors, with loops and reductions over K only.  Moving the axes
-costs no copy when the caller's stack is itself a view of bins-last
-memory, as the engine's state is; results are handed back as views with
-the caller's axis order.
-
-Solves and inversions go through a partial-pivot LU factorisation
-vectorised over the batch axis, which exposes the pivot magnitudes needed
-for the near-singularity check; numpy's black-box solvers do not.
-:func:`hermitian_part` is the one symmetrisation behind every covariance
-the package builds, streaming and batch.
+:func:`masked_solve_unit`, :func:`inverse` and :func:`hermitian_part`
+accept a single ``(K, K)`` matrix or a stack ``(..., K, K)`` whose leading
+axes are a batch (the engine batches over frequency bins).  The solve and
+the inverse move a stack to a **bins-last** ``(K, K, B)`` array once on
+entry, at no copy for a view of bins-last memory such as the engine's
+state, and move the result back once on exit.  In between, the
+partial-pivot LU kernels :func:`lu_factor` and :func:`lu_solve` take and
+return bins-last stacks only: every step is elementwise numpy over
+length-B vectors, with loops and reductions over K only.  The LU exposes the pivot
+magnitudes needed for the near-singularity check; numpy's black-box
+solvers do not.  :func:`hermitian_part` is the one symmetrisation behind
+every covariance the package builds, streaming and batch.
 
 ``op_counter`` tallies how many matrices were solved/inverted since the
 last reset.  The streaming ISS update path must leave it untouched; tests
@@ -64,14 +61,14 @@ def _as_matrix_batch(m, name: str = "matrix") -> tuple[np.ndarray, tuple[int, ..
 
 
 def lu_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Partial-pivot LU of a (B, K, K) stack, vectorised over the batch.
+    """Partial-pivot LU of a bins-last (K, K, B) stack, vectorised over B.
 
-    Returns ``(lu, perm, ok)`` where ``lu`` (B, K, K) packs L (unit
-    diagonal, implicit) and U, ``perm`` (B, K) holds the row permutation,
-    and ``ok`` flags batch members whose every pivot cleared the relative
-    threshold.  Pivot ties go to the first candidate row.
+    Returns ``(lu, perm, ok)`` where ``lu`` (K, K, B) packs L (unit
+    diagonal, implicit) and U, ``perm`` (K, B) holds the row permutation,
+    and ``ok`` (B,) flags batch members whose every pivot cleared the
+    relative threshold.  Pivot ties go to the first candidate row.
     """
-    lu = np.array(np.moveaxis(np.asarray(m), 0, -1), dtype=np.complex128, order="C")
+    lu = np.array(m, dtype=np.complex128, order="C")
     k, nb = lu.shape[0], lu.shape[-1]
     perm = np.repeat(np.arange(k)[:, None], nb, axis=1)
     # per-row magnitude of the *original* rows, permuted alongside
@@ -92,56 +89,42 @@ def lu_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             mult = lu[j + 1 :, j] / safe
             lu[j + 1 :, j] = mult
             lu[j + 1 :, j + 1 :] -= mult[:, None] * lu[j, j + 1 :]
-    return np.moveaxis(lu, -1, 0), perm.T, ok
+    return lu, perm, ok
 
 
 def lu_solve(lu: np.ndarray, perm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve against an LU stack from :func:`lu_factor`; ``rhs`` is (B, K, R)."""
-    lu = np.ascontiguousarray(np.moveaxis(lu, 0, -1))
+    """Solve against the bins-last ``(lu, perm)`` of :func:`lu_factor`;
+    ``rhs`` and the result are (K, R, B)."""
     k = lu.shape[0]
-    rhs = np.moveaxis(np.asarray(rhs, dtype=np.complex128), 0, -1)
-    x = np.take_along_axis(rhs, perm.T[:, None, :], axis=0)
+    x = np.take_along_axis(np.asarray(rhs, dtype=np.complex128), perm[:, None, :], axis=0)
     for j in range(1, k):
         x[j] -= np.sum(lu[j, :j, None] * x[:j], axis=0)
     for j in range(k - 1, -1, -1):
         if j + 1 < k:
             x[j] -= np.sum(lu[j, j + 1 :, None] * x[j + 1 :], axis=0)
         x[j] /= lu[j, j]
-    return np.moveaxis(x, -1, 0)
+    return x
 
 
 def masked_solve_unit(M, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Like :func:`solve_unit` but returns ``(z, ok)`` instead of raising.
+    """Solve ``M z = e_k`` (``e_k`` the k-th canonical basis vector,
+    0-based) for a (stack of) square matrices; returns ``(z, ok)``.
 
-    Entries of ``z`` where ``ok`` is False are unspecified.  Used by the
-    streaming engine, whose per-bin error policy is freeze-and-log.
+    ``ok`` is False where the matrix is numerically singular, and entries
+    of ``z`` there are unspecified.  Used by the streaming engine, whose
+    per-bin error policy is freeze-and-log.
     """
     stack, batch_shape = _as_matrix_batch(M, "M")
     dim, nb = stack.shape[0], stack.shape[-1]
     if not 0 <= k < dim:
         raise ContractViolationError(f"source index {k} out of range for K={dim}")
     op_counter.solves += nb
-    lu, perm, ok = lu_factor(np.moveaxis(stack, -1, 0))
-    rhs = np.zeros((nb, dim, 1), dtype=np.complex128)
-    rhs[:, k, 0] = 1.0
+    lu, perm, ok = lu_factor(stack)
+    rhs = np.zeros((dim, 1, nb), dtype=np.complex128)
+    rhs[k] = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = lu_solve(lu, perm, rhs)[:, :, 0]
-    return z.reshape(*batch_shape, dim), ok.reshape(batch_shape)
-
-
-def solve_unit(M, k: int) -> np.ndarray:
-    """Solve ``M z = e_k`` (``e_k`` the k-th canonical basis vector, 0-based).
-
-    Raises :class:`SingularMatrixError` naming the offending batch indices
-    when any matrix in the stack is numerically singular.
-    """
-    z, ok = masked_solve_unit(M, k)
-    if not np.all(ok):
-        where = tuple(int(i) for i in np.flatnonzero(~np.atleast_1d(ok))[:16])
-        raise SingularMatrixError(
-            f"singular matrix in solve_unit at batch indices {where}", indices=where
-        )
-    return z
+        z = lu_solve(lu, perm, rhs)[:, 0]
+    return np.moveaxis(z, 0, -1).reshape(*batch_shape, dim), ok.reshape(batch_shape)
 
 
 def inverse(M) -> np.ndarray:
@@ -149,15 +132,15 @@ def inverse(M) -> np.ndarray:
     stack, batch_shape = _as_matrix_batch(M, "M")
     dim, nb = stack.shape[0], stack.shape[-1]
     op_counter.inversions += nb
-    lu, perm, ok = lu_factor(np.moveaxis(stack, -1, 0))
+    lu, perm, ok = lu_factor(stack)
     if not np.all(ok):
         where = tuple(int(i) for i in np.flatnonzero(~ok)[:16])
         raise SingularMatrixError(
             f"singular matrix in inverse at batch indices {where}", indices=where
         )
-    rhs = np.broadcast_to(np.eye(dim, dtype=np.complex128), (nb, dim, dim))
+    rhs = np.broadcast_to(np.eye(dim, dtype=np.complex128)[:, :, None], (dim, dim, nb))
     inv = lu_solve(lu, perm, rhs)
-    return inv.reshape(*batch_shape, dim, dim)
+    return np.moveaxis(inv, -1, 0).reshape(*batch_shape, dim, dim)
 
 
 def hermitian_part(m: np.ndarray, axes: tuple[int, int] = (-2, -1)) -> np.ndarray:

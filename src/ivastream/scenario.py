@@ -1,12 +1,13 @@
 """Synthetic ground-truth mixtures, including instantaneous source moves.
 
 Sources are unit-RMS white noise amplitude-modulated by slowly varying
-log-normal envelopes (2-8 Hz), a stand-in for speech that keeps the
-spherical super-Gaussian structure the separator assumes.  Mixing is
-either an instantaneous matrix or a per-pair FIR filter bank; a "move"
-switches the moving source's mixing column (or filter set) at a given
-time, realised by masking the source into pre/post segments so that the
-per-source images always sum exactly to the mixtures.
+log-normal envelopes (cut-off drawn from ``ENVELOPE_BAND_HZ``), a stand-in
+for speech that keeps the spherical super-Gaussian structure the separator
+assumes.  Mixing is either an instantaneous matrix or a per-pair FIR filter
+bank; a "move" switches the moving source's mixing column (or filter set)
+at a given time to one drawn from the scenario's seed stream, realised by
+masking the source into pre/post segments so that the per-source images
+always sum exactly to the mixtures.
 """
 
 from __future__ import annotations
@@ -23,6 +24,13 @@ from .errors import ContractViolationError
 #: in the reference channel used for scoring.
 MIN_MIC1_GAIN = 0.2
 
+#: Largest condition number accepted for a sampled mixing matrix, before
+#: and after a move.
+MAX_CONDITION = 10.0
+
+#: Range (Hz) from which each source envelope's low-pass cut-off is drawn.
+ENVELOPE_BAND_HZ = (2.0, 8.0)
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -32,7 +40,7 @@ class ScenarioConfig:
     for instantaneous mixing, or a (K, K, L) FIR bank ``h[mic, src, tap]``
     for convolutive mixing.  When ``move_source`` is set, that source's
     column (or filter row) switches at ``move_time_s``; the replacement
-    comes from ``post_mixing`` or is sampled from the same seed stream.
+    is sampled from the same seed stream.
     """
 
     n_src: int = 3
@@ -43,9 +51,6 @@ class ScenarioConfig:
     mixing: np.ndarray | None = None
     move_source: int | None = None
     move_time_s: float | None = None
-    post_mixing: np.ndarray | None = None
-    max_condition: float = 10.0
-    envelope_band_hz: tuple[float, float] = (2.0, 8.0)
 
     def __post_init__(self):
         if self.n_src < 1:
@@ -86,8 +91,8 @@ class GroundTruth:
         return self.images[:, 0, :]
 
 
-def _smooth_envelope(rng: np.random.Generator, n: int, sample_rate: int, band: tuple[float, float]) -> np.ndarray:
-    cutoff = rng.uniform(*band)
+def _smooth_envelope(rng: np.random.Generator, n: int, sample_rate: int) -> np.ndarray:
+    cutoff = rng.uniform(*ENVELOPE_BAND_HZ)
     z = rng.standard_normal(n)
     spectrum = np.fft.rfft(z)
     freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
@@ -98,13 +103,7 @@ def _smooth_envelope(rng: np.random.Generator, n: int, sample_rate: int, band: t
     return np.exp(0.75 * np.clip(z, -6.0, 6.0))
 
 
-def synth_sources(
-    n_src: int,
-    duration_s: float,
-    sample_rate: int = 16000,
-    seed: int = 0,
-    envelope_band_hz: tuple[float, float] = (2.0, 8.0),
-) -> np.ndarray:
+def synth_sources(n_src: int, duration_s: float, sample_rate: int = 16000, seed: int = 0) -> np.ndarray:
     """Independent super-Gaussian test signals, unit RMS, seed-deterministic."""
     if duration_s <= 0:
         raise ContractViolationError("duration_s must be positive")
@@ -113,7 +112,7 @@ def synth_sources(
     out = np.empty((n_src, n))
     for k in range(n_src):
         carrier = rng.standard_normal(n)
-        env = _smooth_envelope(rng, n, sample_rate, envelope_band_hz)
+        env = _smooth_envelope(rng, n, sample_rate)
         sig = carrier * env
         out[k] = sig / np.sqrt(np.mean(sig**2))
     return out
@@ -125,11 +124,11 @@ def _sample_unit_column(rng: np.random.Generator, k: int) -> np.ndarray:
     return col
 
 
-def _sample_mixing_matrix(rng: np.random.Generator, k: int, max_condition: float) -> np.ndarray:
+def _sample_mixing_matrix(rng: np.random.Generator, k: int) -> np.ndarray:
     for _ in range(10000):
         a = rng.standard_normal((k, k))
         a /= np.linalg.norm(a, axis=0)
-        if np.linalg.cond(a) <= max_condition and np.min(np.abs(a[0])) >= MIN_MIC1_GAIN:
+        if np.linalg.cond(a) <= MAX_CONDITION and np.min(np.abs(a[0])) >= MIN_MIC1_GAIN:
             return a
     raise ContractViolationError("could not sample a well-conditioned mixing matrix")
 
@@ -158,6 +157,15 @@ def _validate_matrix(a: np.ndarray, k: int, label: str) -> np.ndarray:
     return a
 
 
+def _split_at(sig: np.ndarray, sample: int) -> tuple[np.ndarray, np.ndarray]:
+    """``sig`` zeroed from ``sample`` on, and ``sig`` zeroed before it."""
+    pre = sig.copy()
+    post = sig.copy()
+    pre[sample:] = 0.0
+    post[:sample] = 0.0
+    return pre, post
+
+
 def mix(cfg: ScenarioConfig, sources: np.ndarray) -> GroundTruth:
     """Apply the configured mixing operator, tracking per-source images.
 
@@ -179,33 +187,25 @@ def mix(cfg: ScenarioConfig, sources: np.ndarray) -> GroundTruth:
 
     if cfg.mixing_mode == "instantaneous":
         if cfg.mixing is None:
-            a_pre = _sample_mixing_matrix(rng, k, cfg.max_condition)
+            a_pre = _sample_mixing_matrix(rng, k)
         else:
             a_pre = _validate_matrix(cfg.mixing, k, "mixing")
         a_post = None
         if cfg.move_source is not None:
             a_post = a_pre.copy()
-            if cfg.post_mixing is not None:
-                col = np.asarray(cfg.post_mixing, dtype=np.float64).reshape(k)
-                a_post[:, cfg.move_source] = col
-                _validate_matrix(a_post, k, "post-move mixing")
+            for _ in range(10000):
+                a_post[:, cfg.move_source] = _sample_unit_column(rng, k)
+                if (
+                    np.linalg.cond(a_post) <= MAX_CONDITION
+                    and abs(a_post[0, cfg.move_source]) >= MIN_MIC1_GAIN
+                ):
+                    break
             else:
-                for _ in range(10000):
-                    a_post[:, cfg.move_source] = _sample_unit_column(rng, k)
-                    if (
-                        np.linalg.cond(a_post) <= cfg.max_condition
-                        and abs(a_post[0, cfg.move_source]) >= MIN_MIC1_GAIN
-                    ):
-                        break
-                else:
-                    raise ContractViolationError("could not sample a post-move column")
+                raise ContractViolationError("could not sample a post-move column")
         images = np.empty((k, k, n))
         for s in range(k):
             if s == cfg.move_source:
-                pre = sources[s].copy()
-                post = sources[s].copy()
-                pre[move_sample:] = 0.0
-                post[:move_sample] = 0.0
+                pre, post = _split_at(sources[s], move_sample)
                 images[s] = np.outer(a_pre[:, s], pre) + np.outer(a_post[:, s], post)
             else:
                 images[s] = np.outer(a_pre[:, s], sources[s])
@@ -221,12 +221,7 @@ def mix(cfg: ScenarioConfig, sources: np.ndarray) -> GroundTruth:
                 )
         h_post = None
         if cfg.move_source is not None:
-            if cfg.post_mixing is not None:
-                post_filters = np.asarray(cfg.post_mixing, dtype=np.float64)
-                if post_filters.shape[0] != k:
-                    raise ContractViolationError("post-move filters must have one row per mic")
-            else:
-                post_filters = _random_fir_bank(rng, k, cfg.sample_rate)[:, cfg.move_source]
+            post_filters = _random_fir_bank(rng, k, cfg.sample_rate)[:, cfg.move_source]
             h_post = h_pre.copy()
             length = min(h_post.shape[2], post_filters.shape[1])
             h_post[:, cfg.move_source, :] = 0.0
@@ -235,10 +230,7 @@ def mix(cfg: ScenarioConfig, sources: np.ndarray) -> GroundTruth:
         for s in range(k):
             segments = [(h_pre, sources[s])]
             if s == cfg.move_source:
-                pre = sources[s].copy()
-                post = sources[s].copy()
-                pre[move_sample:] = 0.0
-                post[:move_sample] = 0.0
+                pre, post = _split_at(sources[s], move_sample)
                 segments = [(h_pre, pre), (h_post, post)]
             images[s] = 0.0
             for bank, sig in segments:
@@ -263,7 +255,5 @@ def mix(cfg: ScenarioConfig, sources: np.ndarray) -> GroundTruth:
 def build(cfg: ScenarioConfig, sources: np.ndarray | None = None) -> GroundTruth:
     """Synthesise sources (unless supplied) and mix them per the config."""
     if sources is None:
-        sources = synth_sources(
-            cfg.n_src, cfg.duration_s, cfg.sample_rate, cfg.seed, cfg.envelope_band_hz
-        )
+        sources = synth_sources(cfg.n_src, cfg.duration_s, cfg.sample_rate, cfg.seed)
     return mix(cfg, sources)

@@ -64,6 +64,12 @@ DENOMINATOR_FLOOR = 1e-32
 #: Minimum |1 - v_k| below which the rank-1 update would make W singular.
 ISS_DIAGONAL_FLOOR = 1e-12
 
+#: Diagonal loading of the initial covariances (identity times this).
+INIT_COVARIANCE_SCALE = 1e-3
+
+#: :class:`DiagnosticsLog` keeps this many events, then only counts.
+MAX_EVENTS = 10000
+
 
 @dataclass(frozen=True)
 class ContrastModel:
@@ -208,13 +214,12 @@ class FlopCounter:
 class DiagnosticsLog:
     """Freeze-and-log record of degenerate per-bin updates."""
 
-    max_events: int = 10000
     events: list = field(default_factory=list)
     counts: dict = field(default_factory=dict)
 
     def record(self, kind: str, t: int, k: int, bins: np.ndarray) -> None:
         self.counts[kind] = self.counts.get(kind, 0) + int(bins.size)
-        room = self.max_events - len(self.events)
+        room = MAX_EVENTS - len(self.events)
         for f in bins[:room]:
             self.events.append({"kind": kind, "t": int(t), "f": int(f), "k": int(k)})
 
@@ -405,8 +410,6 @@ class OnlineAuxIva:
         :class:`OnlineConfig`; ``selector=None`` updates every source.
     model:
         :class:`ContrastModel`; defaults to Laplace with ``n_bins`` bins.
-    init_covariance_scale:
-        Diagonal loading of the initial covariances (identity times this).
 
     State is owned by one stream; run independent streams on independent
     instances.
@@ -418,8 +421,6 @@ class OnlineAuxIva:
         n_src: int,
         config: OnlineConfig = OnlineConfig(),
         model: ContrastModel | None = None,
-        *,
-        init_covariance_scale: float = 1e-3,
     ) -> None:
         if n_bins < 1 or n_src < 1:
             raise ContractViolationError("n_bins and n_src must be >= 1")
@@ -427,7 +428,6 @@ class OnlineAuxIva:
         self.n_src = int(n_src)
         self.config = config
         self.model = model if model is not None else ContrastModel("laplace", n_bins=n_bins)
-        self.init_covariance_scale = float(init_covariance_scale)
         sel = config.selector
         if sel is None:
             sel = UpdateSchedule.all_sources(self.n_src)
@@ -439,7 +439,7 @@ class OnlineAuxIva:
         """Reinitialise demixing matrices, covariances and counters."""
         eye = np.eye(self.n_src, dtype=np.complex128)[:, :, None]
         self._W = np.repeat(eye, self.n_bins, axis=2)
-        self._U = np.repeat(self.init_covariance_scale * self._W[None], self.n_src, axis=0)
+        self._U = np.repeat(INIT_COVARIANCE_SCALE * self._W[None], self.n_src, axis=0)
         self._U_next = np.empty_like(self._U)
         self.diagnostics = DiagnosticsLog()
         self.flops.reset()
@@ -518,7 +518,7 @@ class OnlineAuxIva:
         self._U, self._U_next = self._U_next, self._U
         return _demix(self._W, x).T
 
-    def separate(self, spectrogram, project: bool = True):
+    def separate(self, spectrogram):
         """Stream a (K, T, F) spectrogram through the engine, frame by frame.
 
         The engine keeps its state, so calling ``separate`` again on the
@@ -526,8 +526,7 @@ class OnlineAuxIva:
 
         Returns ``(separated Spectrogram, timing dict)``.  Timing separates
         the update loop (everything inside :meth:`process_frame`) from
-        back-projection, which is the only step that inverts matrices;
-        ``project=False`` leaves the outputs unprojected.
+        back-projection, which is the only step that inverts matrices.
         """
         data = spectrogram.data if isinstance(spectrogram, Spectrogram) else np.asarray(spectrogram)
         if data.ndim != 3 or data.shape[0] != self.n_src or data.shape[2] != self.n_bins:
@@ -543,10 +542,9 @@ class OnlineAuxIva:
             tic = time.perf_counter()
             y = self.process_frame(x)
             update_s += time.perf_counter() - tic
-            if project:
-                tic = time.perf_counter()
-                y = project_back(self.demix, y)
-                project_s += time.perf_counter() - tic
+            tic = time.perf_counter()
+            y = project_back(self.demix, y)
+            project_s += time.perf_counter() - tic
             out[:, t, :] = y.T
         timing = {"update_loop_s": update_s, "projection_s": project_s, "frames": n_frames}
         return Spectrogram(out), timing

@@ -21,23 +21,19 @@ class StftConfig:
     """Framing parameters.  Hop is pinned to half the frame length."""
 
     frame_len: int = 1024
-    hop: int = 512
     sample_rate: int = 16000
-    window: str = "hamming"
 
     def __post_init__(self):
         if self.frame_len <= 0 or self.frame_len & (self.frame_len - 1):
             raise ContractViolationError(
                 f"frame_len must be a positive power of two, got {self.frame_len}"
             )
-        if self.hop != self.frame_len // 2:
-            raise ContractViolationError(
-                f"hop must equal frame_len/2 (half overlap), got {self.hop}"
-            )
-        if self.window != "hamming":
-            raise ContractViolationError(f"unsupported window {self.window!r}")
         if self.sample_rate <= 0:
             raise ContractViolationError("sample_rate must be positive")
+
+    @property
+    def hop(self) -> int:
+        return self.frame_len // 2
 
     @property
     def n_bins(self) -> int:

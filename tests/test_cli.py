@@ -273,20 +273,6 @@ class TestDemo:
         assert (again / "segsdr.csv").read_bytes() == (demo_dir / "segsdr.csv").read_bytes()
 
 
-class TestBench:
-    def test_bench_reports_flops(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        code = run_cli(
-            "bench", "--channels", "2,3", "--bins", "16", "--frames", "3",
-            "--output", str(out),
-        )
-        assert code == 0
-        results = json.loads(out.read_text())
-        assert results["iss_k2"]["flops"]["iss_apply"] > 0
-        assert results["ip_k3"]["flops"]["ip_update"] > 0
-        assert "ms/frame" in capsys.readouterr().out
-
-
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])

@@ -11,8 +11,8 @@ from ivastream.linalg import (
     inverse,
     hermitian_part,
     lu_factor,
+    masked_solve_unit,
     op_counter,
-    solve_unit,
 )
 
 from conftest import random_complex, random_conditioned
@@ -21,50 +21,54 @@ from oracles import lu_reference
 
 class TestSolveUnit:
     def test_identity(self):
-        z = solve_unit(np.eye(2, dtype=complex), 0)
+        z, ok = masked_solve_unit(np.eye(2, dtype=complex), 0)
+        assert ok
         np.testing.assert_allclose(z, [1.0, 0.0])
 
     def test_diagonal_closed_form(self):
-        z = solve_unit(np.diag([4.0, 1.0]).astype(complex), 0)
+        z, ok = masked_solve_unit(np.diag([4.0, 1.0]).astype(complex), 0)
+        assert ok
         np.testing.assert_allclose(z, [0.25, 0.0])
 
     def test_random_residual(self, rng):
         m = random_complex(rng, 3, 3)
-        z = solve_unit(m, 1)
+        z, ok = masked_solve_unit(m, 1)
+        assert ok
         e = np.zeros(3)
         e[1] = 1.0
         assert np.linalg.norm(m @ z - e) <= 1e-10 * np.linalg.norm(z)
 
     def test_batched_matches_loop(self, rng):
         m = random_complex(rng, 7, 3, 3)
-        z = solve_unit(m, 2)
+        z, ok = masked_solve_unit(m, 2)
+        assert np.all(ok)
         for i in range(7):
-            np.testing.assert_allclose(z[i], solve_unit(m[i], 2), rtol=1e-12)
+            np.testing.assert_allclose(z[i], masked_solve_unit(m[i], 2)[0], rtol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_conditioned_up_to_1e6(self, seed):
         rng = np.random.default_rng(seed)
         condition = 10 ** rng.uniform(0, 6)
         m = random_conditioned(rng, 4, condition)
-        z = solve_unit(m, 3)
+        z, ok = masked_solve_unit(m, 3)
+        assert ok
         e = np.zeros(4)
         e[3] = 1.0
         assert np.linalg.norm(m @ z - e) <= 1e-10 * np.linalg.norm(z)
 
-    def test_singular_raises_with_indices(self, rng):
+    def test_singular_flagged_by_index(self, rng):
         m = random_complex(rng, 4, 2, 2)
         m[2, 1] = m[2, 0]  # rank-1
-        with pytest.raises(SingularMatrixError) as excinfo:
-            solve_unit(m, 0)
-        assert 2 in excinfo.value.indices
+        _, ok = masked_solve_unit(m, 0)
+        assert not ok[2]
 
     def test_nonsquare_rejected(self):
         with pytest.raises(ContractViolationError):
-            solve_unit(np.ones((2, 3)), 0)
+            masked_solve_unit(np.ones((2, 3)), 0)
 
     def test_bad_index_rejected(self):
         with pytest.raises(ContractViolationError):
-            solve_unit(np.eye(2), 5)
+            masked_solve_unit(np.eye(2), 5)
 
 
 class TestInverse:
@@ -105,7 +109,7 @@ class TestHermitianPart:
 class TestOpCounter:
     def test_counts_solves_and_inversions(self, rng):
         op_counter.reset()
-        solve_unit(random_complex(rng, 5, 2, 2) + 3 * np.eye(2), 0)
+        masked_solve_unit(random_complex(rng, 5, 2, 2) + 3 * np.eye(2), 0)
         assert op_counter.solves == 5
         inverse(random_complex(rng, 2, 2) + 3 * np.eye(2))
         assert op_counter.inversions == 1
@@ -139,10 +143,12 @@ class TestLuAgainstOracle:
     def test_matches_per_matrix_reference(self, k, kinds, seed):
         rng = np.random.default_rng(seed)
         m = np.stack([_matrix_of_kind(rng, kind, k) for kind in kinds])
-        lu, perm, ok = lu_factor(m)
+        lu, perm, ok = lu_factor(np.moveaxis(m, 0, -1))
+        lu, perm = np.moveaxis(lu, -1, 0), perm.T
         refs = [lu_reference(mat, SINGULAR_PIVOT_RTOL) for mat in m]
+        ref_ok = np.array([r[2] for r in refs])
         assert np.array_equal(perm, [r[1] for r in refs])
-        assert np.array_equal(ok, [r[2] for r in refs])
+        assert np.array_equal(ok, ref_ok)
         ref_lu = np.stack([r[0] for r in refs])
         np.testing.assert_allclose(lu, ref_lu, rtol=0, atol=1e-12 * max(np.max(np.abs(ref_lu)), 1.0))
 
@@ -152,13 +158,15 @@ class TestLuAgainstOracle:
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(inverse(m[b]) - ref)) <= 1e-12 * scale
             for j in range(k):
-                z = solve_unit(m[b], j)
+                z, ok_b = masked_solve_unit(m[b], j)
+                assert ok_b
                 ref_z = np.linalg.solve(m[b], e[j])
                 assert np.max(np.abs(z - ref_z)) <= 1e-12 * np.max(np.abs(ref_z))
 
+        _, solve_ok = masked_solve_unit(m, k - 1)
+        assert np.array_equal(np.flatnonzero(~solve_ok), np.flatnonzero(~ref_ok))
         bad = tuple(int(b) for b in np.flatnonzero(~ok)[:16])
         if bad:
-            for call in (lambda: inverse(m), lambda: solve_unit(m, k - 1)):
-                with pytest.raises(SingularMatrixError) as excinfo:
-                    call()
-                assert excinfo.value.indices == bad
+            with pytest.raises(SingularMatrixError) as excinfo:
+                inverse(m)
+            assert excinfo.value.indices == bad

@@ -89,7 +89,7 @@ class TestInstantaneousMix:
         cfg = ScenarioConfig(n_src=3, duration_s=0.5, sample_rate=8000, mixing=mixing)
         sources = rng.standard_normal((3, 4000))
         truth = mix(cfg, sources)
-        stft_cfg = StftConfig(frame_len=256, hop=128, sample_rate=8000)
+        stft_cfg = StftConfig(frame_len=256, sample_rate=8000)
         lhs = analyze(truth.mixtures, stft_cfg).data
         rhs = np.einsum("km,mtf->ktf", mixing, analyze(sources, stft_cfg).data)
         assert np.max(np.abs(lhs - rhs)) <= 1e-9 * np.max(np.abs(rhs))

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from ivastream.errors import ContractViolationError, DegenerateUpdateError
 from ivastream.linalg import inverse, op_counter
 from ivastream.separator import (
+    MAX_EVENTS,
     ContrastModel,
+    DiagnosticsLog,
     FlopCounter,
     OnlineAuxIva,
     OnlineConfig,
@@ -493,6 +495,14 @@ class TestEngine:
         assert engine.diagnostics.total == 4 * 2  # every bin, both sources
         event = engine.diagnostics.events[0]
         assert event["t"] == 1 and event["kind"].startswith(method)
+
+    def test_diagnostics_log_keeps_max_events_and_counts_all(self):
+        log = DiagnosticsLog()
+        log.record("iss_degenerate", 1, 0, np.arange(MAX_EVENTS - 3))
+        log.record("ip_degenerate", 2, 1, np.arange(8))  # crosses the cap
+        assert len(log.events) == MAX_EVENTS
+        assert log.total == MAX_EVENTS + 5
+        assert log.events[-1] == {"kind": "ip_degenerate", "t": 2, "f": 2, "k": 1}
 
     @pytest.mark.parametrize(
         "method, n_src, updated",
