@@ -15,7 +15,8 @@ Three demixing update strategies are offered:
   ratios and survives only in the diagonal normalisation term.
 
 Both ISS variants update the demixing matrices alongside so every method
-reports (demixing matrices, cost trace, separated spectrogram).
+reports (demixing matrices, cost trace, separated spectrogram).  Every
+function takes the contrast kind alone and reads F from the spectrogram.
 """
 
 from __future__ import annotations
@@ -26,19 +27,20 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractViolationError
-from .separator import ContrastModel, ip_update_row, iss_apply, iss_vector
+from .separator import R_FLOOR, ContrastModel, ip_update_row, iss_apply, iss_vector
 from .stft import Spectrogram
 
 
 @dataclass(frozen=True)
 class BatchProblem:
-    """A spectrogram to separate, its source model and the sweep budget."""
+    """A spectrogram to separate, its source prior and the sweep budget."""
 
     spectrogram: Spectrogram
-    model: ContrastModel
+    contrast: str = "laplace"
     n_iter: int = 10
 
     def __post_init__(self):
+        ContrastModel(self.contrast, self.spectrogram.n_bins)  # validates the kind
         if self.spectrogram.n_frames < self.spectrogram.n_channels:
             raise ContractViolationError(
                 "need at least as many frames as channels to estimate covariances"
@@ -63,19 +65,18 @@ def _demix(W: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.einsum("fkj,ftj->ftk", W, X)
 
 
-def _activities(Y: np.ndarray, r_floor: float) -> np.ndarray:
+def _activities(Y: np.ndarray) -> np.ndarray:
     # (F, T, K) -> (T, K)
-    return np.maximum(np.sqrt(np.sum(np.abs(Y) ** 2, axis=0)), r_floor)
+    return np.maximum(np.sqrt(np.sum(np.abs(Y) ** 2, axis=0)), R_FLOOR)
 
 
-def cost(W: np.ndarray, spec: Spectrogram, model: ContrastModel) -> float:
+def cost(W: np.ndarray, spec: Spectrogram, contrast: str = "laplace") -> float:
     """Negative log-likelihood ``sum_k mean_t G(r_kt) - 2 sum_f log|det W_f|``.
 
     For the gauss model the value is reported up to an additive constant.
     """
-    X = _to_ftk(spec)
-    Y = _demix(W, X)
-    r = _activities(Y, model.r_floor)
+    model = ContrastModel(contrast, spec.n_bins)
+    r = _activities(_demix(W, _to_ftk(spec)))
     data_term = float(np.sum(np.mean(model.contrast(r), axis=0)))
     sign, logdet = np.linalg.slogdet(W)
     if np.any(sign == 0):
@@ -87,13 +88,13 @@ def cost(W: np.ndarray, spec: Spectrogram, model: ContrastModel) -> float:
 
 
 def batch_weighted_covariance(
-    spec: Spectrogram, W: np.ndarray, model: ContrastModel, k: int | None = None, f: int | None = None
+    spec: Spectrogram, W: np.ndarray, contrast: str = "laplace", k: int | None = None, f: int | None = None
 ) -> np.ndarray:
     """Weighted covariance ``U_kf = (1/T) sum_t phi(r_kt) x_ft x_ft^H``.
 
     Returns the (K, F, K, K) stack, or the single matrix for given (k, f).
     """
-    U = _covariances_from(_to_ftk(spec), W, model)
+    U = _covariances_from(_to_ftk(spec), W, ContrastModel(contrast, spec.n_bins))
     if k is not None and f is not None:
         return U[k, f]
     if k is not None:
@@ -102,9 +103,7 @@ def batch_weighted_covariance(
 
 
 def _covariances_from(X: np.ndarray, W: np.ndarray, model: ContrastModel) -> np.ndarray:
-    Y = _demix(W, X)
-    r = _activities(Y, model.r_floor)
-    phi = model.weight(r)  # (T, K)
+    phi = model.weight(_activities(_demix(W, X)))  # (T, K)
     U = np.einsum("tk,fti,ftj->kfij", phi, X, np.conj(X)) / X.shape[1]
     return linalg.hermitian_part(U)
 
@@ -123,10 +122,10 @@ def _sweep_iss(X: np.ndarray, W: np.ndarray, model: ContrastModel) -> np.ndarray
     return W
 
 
-def _sweep_iss_inplace(Y: np.ndarray, W: np.ndarray, model: ContrastModel) -> tuple[np.ndarray, np.ndarray]:
+def _sweep_iss_inplace(Y: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n_frames = Y.shape[1]
     for k in range(W.shape[-1]):
-        r = _activities(Y, model.r_floor)          # (T, K)
+        r = _activities(Y)  # (T, K)
         inv_r = 1.0 / r
         yk = Y[:, :, k]
         num = np.einsum("ftm,ft,tm->fm", Y, np.conj(yk), inv_r)
@@ -147,7 +146,7 @@ def batch_auxiva(problem: BatchProblem, method: str = "iss") -> BatchResult:
     """
     if method not in ("ip", "iss", "iss_inplace"):
         raise ContractViolationError(f"unknown batch method {method!r}")
-    if method == "iss_inplace" and problem.model.kind != "laplace":
+    if method == "iss_inplace" and problem.contrast != "laplace":
         raise ContractViolationError(
             "the in-place ISS signal update is derived for the Laplace model only"
         )
@@ -155,22 +154,23 @@ def batch_auxiva(problem: BatchProblem, method: str = "iss") -> BatchResult:
     X = _to_ftk(spec)
     n_bins, _, n_src = X.shape
     W = np.tile(np.eye(n_src, dtype=np.complex128), (n_bins, 1, 1))
-    trace = [cost(W, spec, problem.model)]
+    model = ContrastModel(problem.contrast, n_bins)
+    trace = [cost(W, spec, problem.contrast)]
     Y = X.copy() if method == "iss_inplace" else None
     for sweep in range(problem.n_iter):
         try:
             if method == "ip":
-                W = _sweep_ip(X, W, problem.model)
+                W = _sweep_ip(X, W, model)
             elif method == "iss":
-                W = _sweep_iss(X, W, problem.model)
+                W = _sweep_iss(X, W, model)
             else:
-                Y, W = _sweep_iss_inplace(Y, W, problem.model)
+                Y, W = _sweep_iss_inplace(Y, W)
         except RuntimeError as exc:
             # prefix the message in place: the error keeps its type and its
             # context/indices attributes
             exc.args = (f"sweep {sweep + 1}: {exc}",)
             raise
-        trace.append(cost(W, spec, problem.model))
+        trace.append(cost(W, spec, problem.contrast))
     separated = Y if method == "iss_inplace" else _demix(W, X)
     return BatchResult(
         demix=W,

@@ -25,7 +25,7 @@ from scipy.io import wavfile
 
 from . import metrics, scenario
 from .errors import ContractViolationError
-from .separator import ContrastModel, OnlineAuxIva, OnlineConfig, UpdateSchedule
+from .separator import CONTRASTS, OnlineAuxIva, OnlineConfig, UpdateSchedule
 from .stft import Spectrogram, StftConfig, analyze, synthesize
 
 
@@ -147,7 +147,6 @@ def _run_pipeline(
     mixtures: np.ndarray,
     stft_cfg: StftConfig,
     online_cfg: OnlineConfig,
-    contrast: str,
     switch_frame: int | None = None,
     at_switch=None,
 ):
@@ -162,8 +161,7 @@ def _run_pipeline(
     tic = time.perf_counter()
     spec = analyze(mixtures, stft_cfg)
     stft_s = time.perf_counter() - tic
-    model = ContrastModel(contrast, n_bins=spec.n_bins)
-    engine = OnlineAuxIva(spec.n_bins, n_src, online_cfg, model)
+    engine = OnlineAuxIva(spec.n_bins, n_src, online_cfg)
     n_frames = spec.n_frames
     split = n_frames if switch_frame is None else min(switch_frame - 1, n_frames)
     separated, timing = engine.separate(spec.data[:, :split, :])
@@ -196,7 +194,6 @@ def run_moving_experiment(
     mode: str,
     alpha: float = 0.99,
     n_iter: int = 2,
-    contrast: str = "laplace",
 ):
     """Run one arm of the moving-source comparison.
 
@@ -226,24 +223,17 @@ def run_moving_experiment(
         chosen["channel"] = moving_output_channel(truth, pre_estimates)
 
     online_cfg = OnlineConfig(alpha=alpha, n_iter=n_iter, method=method, selector=selector)
-    estimates, info = _run_pipeline(
-        truth.mixtures, stft_cfg, online_cfg, contrast, switch_frame, decide
-    )
+    estimates, info = _run_pipeline(truth.mixtures, stft_cfg, online_cfg, switch_frame, decide)
     return estimates, {**info, "moving_channel": chosen.get("channel")}
 
 
-def run_separation(
-    mixtures: np.ndarray,
-    stft_cfg: StftConfig,
-    online_cfg: OnlineConfig,
-    contrast: str = "laplace",
-):
+def run_separation(mixtures: np.ndarray, stft_cfg: StftConfig, online_cfg: OnlineConfig):
     """STFT -> streaming separation -> back-projection -> inverse STFT.
 
     Returns ``(estimates (K, N), info dict)`` where info carries the
     update-loop/projection/STFT timings and the engine diagnostics.
     """
-    return _run_pipeline(mixtures, stft_cfg, online_cfg, contrast)
+    return _run_pipeline(mixtures, stft_cfg, online_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +336,7 @@ def _online_config_from_args(args, n_src: int, stft_cfg: StftConfig, switch_hint
             method=args.method,
             update_period=args.update_period,
             selector=selector,
+            contrast=args.contrast,
         )
     except ContractViolationError as exc:
         raise UsageError(str(exc)) from exc
@@ -370,7 +361,7 @@ def cmd_separate(args) -> int:
         if manifest["move"]:
             switch_hint = manifest["move"]["sample"]
     online_cfg = _online_config_from_args(args, n_src, stft_cfg, switch_hint)
-    estimates, info = run_separation(mixtures, stft_cfg, online_cfg, contrast=args.contrast)
+    estimates, info = run_separation(mixtures, stft_cfg, online_cfg)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for k in range(n_src):
@@ -532,7 +523,7 @@ def _add_separation_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=0.99)
     p.add_argument("--n-iter", type=int, default=2)
     p.add_argument("--update-period", type=int, default=1)
-    p.add_argument("--contrast", choices=("laplace", "gauss"), default="laplace")
+    p.add_argument("--contrast", choices=CONTRASTS, default="laplace")
     p.add_argument("--frame-len", type=int, default=1024)
 
 

@@ -32,9 +32,11 @@ Notes on conventions:
   diagonal picks up an imaginary residue under fused multiply-add), hence
   its explicit symmetrisation by ``linalg.hermitian_part``.
 * The engine and the public kernels share one implementation each: the
-  refresh is :func:`update_covariance`'s expression, and the ISS and IP
-  steps run the masked kernels behind :func:`iss_vector` and
+  refresh runs the helper behind :func:`update_covariance`, and the ISS
+  and IP steps run the masked kernels behind :func:`iss_vector` and
   :func:`ip_update_row`, which raise where the engine freezes and logs.
+* The source prior is named once per stream, by ``OnlineConfig.contrast``;
+  the engine builds its :class:`ContrastModel` with its own bin count F.
 * :meth:`OnlineAuxIva.separate` is the package's one frame loop.
 
 Storage layout: the engine keeps its state **bins-last**, W as a
@@ -70,38 +72,41 @@ INIT_COVARIANCE_SCALE = 1e-3
 #: :class:`DiagnosticsLog` keeps this many events, then only counts.
 MAX_EVENTS = 10000
 
+#: Activity floor: both contrast weights diverge at r = 0.
+R_FLOOR = 1e-8
+
+#: The source priors :class:`ContrastModel` accepts.
+CONTRASTS = ("laplace", "gauss")
+
 
 @dataclass(frozen=True)
 class ContrastModel:
     """Source-prior selector supplying the covariance weighting phi(r).
 
     ``laplace`` uses ``phi(r) = 1/(2r)``; ``gauss`` (time-varying Gaussian)
-    uses ``phi(r) = F/r**2`` with ``F = n_bins``.  Activities are floored
-    at ``r_floor`` before weighting, since both weights diverge at r = 0.
+    uses ``phi(r) = F/r**2`` with ``F = n_bins``, the bin count of the data
+    it weights.  Activities are floored at :data:`R_FLOOR` before weighting.
     """
 
-    kind: str = "laplace"
-    n_bins: int = 1
-    r_floor: float = 1e-8
+    kind: str
+    n_bins: int
 
     def __post_init__(self):
-        if self.kind not in ("laplace", "gauss"):
+        if self.kind not in CONTRASTS:
             raise ContractViolationError(f"unknown contrast model {self.kind!r}")
-        if self.r_floor <= 0:
-            raise ContractViolationError("r_floor must be positive")
         if self.n_bins < 1:
             raise ContractViolationError("n_bins must be >= 1")
 
     def weight(self, r):
-        """phi(r), vectorised; input is floored at ``r_floor``."""
-        r = np.maximum(np.asarray(r, dtype=np.float64), self.r_floor)
+        """phi(r), vectorised; input is floored at :data:`R_FLOOR`."""
+        r = np.maximum(np.asarray(r, dtype=np.float64), R_FLOOR)
         if self.kind == "laplace":
             return 0.5 / r
         return self.n_bins / (r * r)
 
     def contrast(self, r):
         """G(r) for cost reporting (up to an additive constant for gauss)."""
-        r = np.maximum(np.asarray(r, dtype=np.float64), self.r_floor)
+        r = np.maximum(np.asarray(r, dtype=np.float64), R_FLOOR)
         if self.kind == "laplace":
             return r
         return 2.0 * self.n_bins * np.log(r)
@@ -141,13 +146,17 @@ class UpdateSchedule:
 
 @dataclass(frozen=True)
 class OnlineConfig:
-    """Streaming engine parameters (defaults follow the reference setup)."""
+    """Streaming engine parameters (defaults follow the reference setup).
+
+    ``contrast`` is the source prior, ``"laplace"`` or ``"gauss"``.
+    """
 
     alpha: float = 0.99
     n_iter: int = 2
     method: str = "iss"
     update_period: int = 1
     selector: UpdateSchedule | Callable[[int], Sequence[int]] | None = None
+    contrast: str = "laplace"
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
@@ -158,6 +167,8 @@ class OnlineConfig:
             raise ContractViolationError(f"method must be 'ip' or 'iss', got {self.method!r}")
         if self.update_period < 1:
             raise ContractViolationError("update_period must be >= 1")
+        if self.contrast not in CONTRASTS:
+            raise ContractViolationError(f"unknown contrast model {self.contrast!r}")
 
 
 @dataclass
@@ -255,19 +266,20 @@ def _outer(x: np.ndarray) -> np.ndarray:
     return linalg.hermitian_part(x[:, None] * np.conj(x[None]), axes=(0, 1))
 
 
-def source_activity(W: np.ndarray, frame: np.ndarray, k: int | None = None, r_floor: float = 1e-8):
-    """Per-source activity ``r_k = sqrt(sum_f |w_k,f^H x_f|^2)``, floored.
+def source_activity(W: np.ndarray, frame: np.ndarray, k: int | None = None):
+    """Per-source activity ``r_k = sqrt(sum_f |w_k,f^H x_f|^2)``, floored at
+    :data:`R_FLOOR`.
 
     ``W`` is (F, K, K), ``frame`` is (F, K).  Returns a scalar for a given
     ``k`` or the full length-K vector when ``k`` is None.
     """
-    r = _activity(_matrices_last(W), _vectors_last(frame), r_floor)
+    r = _activity(_matrices_last(W), _vectors_last(frame))
     return float(r[k]) if k is not None else r
 
 
-def _activity(W: np.ndarray, x: np.ndarray, r_floor: float) -> np.ndarray:
+def _activity(W: np.ndarray, x: np.ndarray) -> np.ndarray:
     y = _demix(W, x)
-    return np.maximum(np.sqrt(np.sum(y.real**2 + y.imag**2, axis=-1)), r_floor)
+    return np.maximum(np.sqrt(np.sum(y.real**2 + y.imag**2, axis=-1)), R_FLOOR)
 
 
 def update_covariance(prev_U: np.ndarray, alpha: float, phi_r, x: np.ndarray) -> np.ndarray:
@@ -294,8 +306,15 @@ def update_covariance(prev_U: np.ndarray, alpha: float, phi_r, x: np.ndarray) ->
     batch = np.broadcast_shapes(u_.shape[:-2], x_.shape[:-1], w_.shape)
     u = _matrices_last(u_, batch)
     outer = _outer(_vectors_last(x_, batch))
-    out = ((1.0 - alpha) * w_) * outer + alpha * linalg.hermitian_part(u, axes=(0, 1))
+    out = _refresh((1.0 - alpha) * w_, outer, alpha * linalg.hermitian_part(u, axes=(0, 1)))
     return np.moveaxis(out, (0, 1), (-2, -1))
+
+
+def _refresh(weight, outer: np.ndarray, decayed: np.ndarray, out=None) -> np.ndarray:
+    # bins-last covariance refresh ``weight * outer + decayed``, into ``out``
+    out = np.multiply(weight, outer, out=out)
+    out += decayed
+    return out
 
 
 def ip_update_row(W: np.ndarray, U_k: np.ndarray, k: int) -> np.ndarray:
@@ -389,12 +408,11 @@ def project_back(W: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Per bin, ``A = W^{-1}`` and output ``k`` is scaled by ``A[0, k]`` (the
     image of source k at the first microphone), so the outputs sum back to
-    the first mixture channel.  ``y`` may be (F, K) or (F, T, K).
+    the first mixture channel.  ``W`` is (F, K, K) and ``y`` is (F, K).
     """
-    a_row = linalg.inverse(W)[..., 0, :]
-    if y.ndim == W.ndim:  # (F, T, K) against (F, K, K)
-        return a_row[:, None, :] * y
-    return a_row * y
+    if np.shape(y) != np.shape(W)[:-1]:
+        raise ContractViolationError(f"y must have shape {np.shape(W)[:-1]}, got {np.shape(y)}")
+    return linalg.inverse(W)[..., 0, :] * y
 
 
 class OnlineAuxIva:
@@ -408,26 +426,21 @@ class OnlineAuxIva:
         Number of sources = microphones K (determined case).
     config:
         :class:`OnlineConfig`; ``selector=None`` updates every source.
-    model:
-        :class:`ContrastModel`; defaults to Laplace with ``n_bins`` bins.
+
+    The engine weights its covariances by ``ContrastModel(config.contrast,
+    n_bins)``, kept as :attr:`model`.
 
     State is owned by one stream; run independent streams on independent
     instances.
     """
 
-    def __init__(
-        self,
-        n_bins: int,
-        n_src: int,
-        config: OnlineConfig = OnlineConfig(),
-        model: ContrastModel | None = None,
-    ) -> None:
+    def __init__(self, n_bins: int, n_src: int, config: OnlineConfig = OnlineConfig()) -> None:
         if n_bins < 1 or n_src < 1:
             raise ContractViolationError("n_bins and n_src must be >= 1")
         self.n_bins = int(n_bins)
         self.n_src = int(n_src)
         self.config = config
-        self.model = model if model is not None else ContrastModel("laplace", n_bins=n_bins)
+        self.model = ContrastModel(config.contrast, self.n_bins)
         sel = config.selector
         if sel is None:
             sel = UpdateSchedule.all_sources(self.n_src)
@@ -502,10 +515,9 @@ class OnlineAuxIva:
         outer = _outer(x)
         decayed = alpha * self._U
         for _ in range(passes):
-            phi = self.model.weight(_activity(self._W, x, self.model.r_floor))
+            phi = self.model.weight(_activity(self._W, x))
             self.flops.activity += FlopCounter.activity_flops(k, f)
-            np.multiply(((1.0 - alpha) * phi)[:, None, None, None], outer, out=self._U_next)
-            self._U_next += decayed
+            _refresh(((1.0 - alpha) * phi)[:, None, None, None], outer, decayed, self._U_next)
             self.flops.covariance += k * FlopCounter.covariance_flops(k, f)
             for idx in indices:
                 if self.config.method == "iss":

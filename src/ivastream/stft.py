@@ -2,9 +2,10 @@
 
 The front end is fixed to a periodic (DFT-even) Hamming window at 50%
 overlap.  Signals are zero-padded by half a frame on both sides so every
-original sample is fully covered by analysis frames, and synthesis divides
-by the accumulated squared-window envelope, which makes the round trip
-exact (well below the documented 1e-6 tolerance) at every original sample.
+original sample is fully covered by analysis frames.  Synthesis builds each
+hop-long segment from the two frame halves that cover it and divides by
+their squared-window envelope, which makes the round trip exact (well below
+the documented 1e-6 tolerance) at every original sample.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ class StftConfig:
     @property
     def n_bins(self) -> int:
         return self.frame_len // 2 + 1
-
-    @property
-    def pad(self) -> int:
-        return self.frame_len // 2
 
     def window_samples(self) -> np.ndarray:
         # periodic variant: satisfies constant overlap-add at 50% hop
@@ -103,7 +100,7 @@ def analyze(signal, cfg: StftConfig = StftConfig()) -> Spectrogram:
         raise ContractViolationError(
             f"signal length {n} shorter than one frame ({cfg.frame_len})"
         )
-    padded = np.pad(sig, ((0, 0), (cfg.pad, cfg.pad)))
+    padded = np.pad(sig, ((0, 0), (cfg.hop, cfg.hop)))
     frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.frame_len, axis=1)
     frames = frames[:, :: cfg.hop, :]
     data = np.fft.rfft(frames * cfg.window_samples(), axis=-1)
@@ -122,24 +119,23 @@ def synthesize(spec: Spectrogram, cfg: StftConfig = StftConfig(), n_samples: int
         raise ContractViolationError(
             f"spectrogram has {spec.n_bins} bins but config implies {cfg.n_bins}"
         )
-    window = cfg.window_samples()
-    frames = np.fft.irfft(spec.data, n=cfg.frame_len, axis=-1) * window
-    n_ch, n_frames = spec.n_channels, spec.n_frames
-    total = (n_frames - 1) * cfg.hop + cfg.frame_len
-    out = np.zeros((n_ch, total))
-    env = np.zeros(total)
-    w2 = window * window
-    for t in range(n_frames):
-        start = t * cfg.hop
-        out[:, start : start + cfg.frame_len] += frames[:, t]
-        env[start : start + cfg.frame_len] += w2
-    out /= np.maximum(env, np.finfo(float).tiny)
-    # original sample i sits at padded index pad + i, covered while pad + i < total
-    available = total - cfg.pad
+    n_frames, hop = spec.n_frames, cfg.hop
+    # original sample i sits at padded index hop + i, covered while i < n_frames * hop
+    available = n_frames * hop
     if n_samples is None:
-        n_samples = (n_frames - 1) * cfg.hop
+        n_samples = (n_frames - 1) * hop
     if not 0 < n_samples <= available:
         raise ContractViolationError(
             f"requested {n_samples} samples but only {available} are covered"
         )
-    return out[:, cfg.pad : cfg.pad + n_samples]
+    window = cfg.window_samples()
+    frames = np.fft.irfft(spec.data, n=cfg.frame_len, axis=-1)
+    frames *= window
+    # padded segment s = 1..T: second half of frame s-1 plus first half of frame s
+    out = frames[..., hop:].copy()
+    out[:, :-1] += frames[:, 1:, :hop]
+    w2 = window * window
+    env = np.tile(w2[hop:], (n_frames, 1))
+    env[:-1] += w2[:hop]
+    out /= env  # the Hamming window is >= 0.08, so env never vanishes
+    return out.reshape(spec.n_channels, available)[:, :n_samples]

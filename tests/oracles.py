@@ -102,6 +102,25 @@ def cost_reference(data, W, kind: str, n_bins: int, r_floor: float = 1e-8):
     return total
 
 
+def ola_reference(frames, window, hop: int):
+    """Weighted overlap-add, one frame at a time, for any hop.
+
+    ``frames`` is (channels, T, frame_len), already windowed.  Returns the
+    padded-domain signal divided by the accumulated squared-window
+    envelope, (channels, (T - 1) * hop + frame_len).
+    """
+    n_ch, n_frames, frame_len = frames.shape
+    total = (n_frames - 1) * hop + frame_len
+    out = np.zeros((n_ch, total))
+    env = np.zeros(total)
+    w2 = window * window
+    for t in range(n_frames):
+        start = t * hop
+        out[:, start : start + frame_len] += frames[:, t]
+        env[start : start + frame_len] += w2
+    return out / np.maximum(env, np.finfo(float).tiny)
+
+
 def lu_reference(m, rtol: float):
     """Partial-pivot LU of one matrix, one row operation at a time.
 

@@ -8,8 +8,8 @@ import pytest
 from scipy.io import wavfile
 
 from ivastream.cli import main, parse_config_file, parse_selector, read_wav, write_wav
-from ivastream.cli import UsageError
-from ivastream.separator import UpdateSchedule
+from ivastream.cli import UsageError, run_separation
+from ivastream.separator import OnlineConfig, UpdateSchedule
 from ivastream.stft import StftConfig
 
 
@@ -139,6 +139,20 @@ class TestSeparateAndEvaluate:
         rate, est = read_wav(out / "separated_1.wav")
         _, mixture = read_wav(scenario_dir / "mixture.wav")
         assert est.shape[1] == mixture.shape[1]
+
+    def test_contrast_flag_reaches_the_engine(self, scenario_dir, tmp_path):
+        out = tmp_path / "sep_gauss"
+        code = run_cli(
+            "separate", str(scenario_dir / "mixture.wav"), "--contrast", "gauss", "-o", str(out),
+        )
+        assert code == 0
+        assert json.loads((out / "diagnostics.json").read_text())["contrast"] == "gauss"
+        rate, mixture = read_wav(scenario_dir / "mixture.wav")
+        expected, _ = run_separation(
+            mixture, StftConfig(sample_rate=rate), OnlineConfig(contrast="gauss")
+        )
+        _, est = read_wav(out / "separated_1.wav")
+        assert np.array_equal(est[0], expected[0].astype(np.float32))
 
     def test_selector_one_with_auto_switch(self, scenario_dir, tmp_path):
         out = tmp_path / "sep_one"

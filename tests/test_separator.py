@@ -38,18 +38,28 @@ def random_state(rng, n_src, n_bins):
 
 class TestContrastModel:
     def test_laplace_weight(self):
-        assert ContrastModel("laplace").weight(2.0) == pytest.approx(0.25)
+        assert ContrastModel("laplace", 1).weight(2.0) == pytest.approx(0.25)
 
     def test_gauss_weight(self):
-        assert ContrastModel("gauss", n_bins=8).weight(2.0) == pytest.approx(2.0)
+        assert ContrastModel("gauss", 8).weight(2.0) == pytest.approx(2.0)
 
     def test_flooring(self):
-        model = ContrastModel("laplace", r_floor=1e-8)
-        assert model.weight(0.0) == pytest.approx(0.5e8)
+        assert ContrastModel("laplace", 1).weight(0.0) == pytest.approx(0.5e8)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ContractViolationError):
-            ContrastModel("cauchy")
+            ContrastModel("cauchy", 1)
+        with pytest.raises(ContractViolationError):
+            OnlineConfig(contrast="cauchy")
+
+    def test_bin_count_has_no_default(self):
+        with pytest.raises(TypeError):
+            ContrastModel("gauss")
+
+    def test_engine_takes_bin_count_from_its_data(self):
+        engine = OnlineAuxIva(513, 3, OnlineConfig(contrast="gauss"))
+        assert engine.model.kind == "gauss"
+        assert engine.model.n_bins == 513
 
 
 class TestSourceActivity:
@@ -126,7 +136,7 @@ class TestUpdateCovariance:
         for x in frames[:3]:
             engine.process_frame(x)
         u_prev, w_prev, x = engine.covariance.copy(), engine.demix.copy(), frames[3]
-        phi = engine.model.weight(source_activity(w_prev, x, r_floor=engine.model.r_floor))
+        phi = engine.model.weight(source_activity(w_prev, x))
         engine.process_frame(x)
         expected = update_covariance(u_prev, alpha, phi[:, None], x)
         assert np.array_equal(engine.covariance, expected)
@@ -306,13 +316,11 @@ class TestProjectBack:
         out = project_back(w, y)
         np.testing.assert_allclose(out.sum(axis=1), x[:, 0], atol=1e-10)
 
-    def test_whole_spectrogram_form(self, rng):
-        n_src, n_bins, n_frames = 2, 5, 4
-        w = random_complex(rng, n_bins, n_src, n_src) + 2 * np.eye(n_src)
-        y = random_complex(rng, n_bins, n_frames, n_src)
-        out = project_back(w, y)
-        for t in range(n_frames):
-            np.testing.assert_allclose(out[:, t, :], project_back(w, y[:, t, :]))
+    def test_frame_shape_enforced(self, rng):
+        # an (F, T, K) spectrogram with T == F would broadcast silently
+        w = random_complex(rng, 4, 2, 2) + 2 * np.eye(2)
+        with pytest.raises(ContractViolationError):
+            project_back(w, random_complex(rng, 4, 4, 2))
 
 
 class TestEngine:
@@ -343,8 +351,9 @@ class TestEngine:
     def test_gauss_contrast_matches_reference(self):
         rng = np.random.default_rng(8)
         n_bins, n_src = 6, 2
-        model = ContrastModel("gauss", n_bins=n_bins)
-        engine = OnlineAuxIva(n_bins, n_src, OnlineConfig(method="iss", alpha=0.9), model)
+        engine = OnlineAuxIva(
+            n_bins, n_src, OnlineConfig(method="iss", alpha=0.9, contrast="gauss")
+        )
         w0, u0 = random_state(rng, n_src, n_bins)
         engine.demix[:] = w0
         engine.covariance[:] = u0

@@ -6,6 +6,8 @@ import pytest
 from ivastream.errors import ContractViolationError
 from ivastream.stft import Spectrogram, StftConfig, analyze, synthesize
 
+from oracles import ola_reference
+
 
 @pytest.fixture
 def cfg():
@@ -71,6 +73,28 @@ def test_round_trip_covers_edges_too(cfg, rng):
     np.testing.assert_allclose(rec, signal, atol=1e-12)
 
 
+@pytest.mark.parametrize("frame_len", [4, 256, 1024])
+def test_synthesis_matches_frame_loop_bitwise(rng, frame_len):
+    cfg = StftConfig(frame_len=frame_len)
+    n = 3 * frame_len + frame_len // 4 + 1
+    spec = analyze(rng.standard_normal((2, n)), cfg)
+    frames = np.fft.irfft(spec.data, n=frame_len, axis=-1) * cfg.window_samples()
+    # original sample i sits at padded index hop + i
+    reference = ola_reference(frames, cfg.window_samples(), cfg.hop)[:, cfg.hop :]
+    covered = spec.n_frames * cfg.hop
+    assert reference.shape[1] == covered
+    for n_samples in (None, n, covered):
+        expected = reference[:, : (spec.n_frames - 1) * cfg.hop if n_samples is None else n_samples]
+        assert np.array_equal(synthesize(spec, cfg, n_samples=n_samples), expected)
+
+
+def test_synthesis_length_bounds(cfg, rng):
+    spec = analyze(rng.standard_normal((1, 1000)), cfg)
+    for n_samples in (0, spec.n_frames * cfg.hop + 1):
+        with pytest.raises(ContractViolationError):
+            synthesize(spec, cfg, n_samples=n_samples)
+
+
 def test_zero_spectrogram_synthesizes_zero(cfg):
     spec = Spectrogram(np.zeros((2, 5, cfg.n_bins), dtype=complex))
     np.testing.assert_array_equal(synthesize(spec, cfg), 0)
@@ -88,7 +112,7 @@ def test_synthesis_linearity(cfg, rng):
 def test_parseval_per_frame(cfg, rng):
     signal = rng.standard_normal(3000)
     spec = analyze(signal, cfg)
-    padded = np.pad(signal, (cfg.pad, cfg.pad))
+    padded = np.pad(signal, (cfg.hop, cfg.hop))
     window = cfg.window_samples()
     for t in range(spec.n_frames):
         frame = padded[t * cfg.hop : t * cfg.hop + cfg.frame_len] * window
