@@ -3,8 +3,12 @@
 ``run_separation`` and ``run_moving_experiment`` are the experiment
 pipeline behind ``separate`` and ``demo``, reusable from Python.
 
-Exit codes: 0 on success, 2 on usage errors (bad flags, malformed config,
-unusable input files), 1 on runtime failures.
+Exit codes: 0 on success; 2 on every ``ContractViolationError``, which
+covers usage errors (bad flags, malformed config or manifest, unusable
+input files) and every precondition a config object or kernel checks; 1 on
+runtime failures (``RuntimeError``, ``OSError``).  Engine, STFT and
+scenario flags take their defaults from ``OnlineConfig``, ``StftConfig``
+and ``ScenarioConfig``.
 
 Scenario config files are flat ``key = value`` text (``#`` comments); CLI
 flags override file values.  Recognised keys: ``sources``, ``duration_s``,
@@ -25,12 +29,14 @@ from scipy.io import wavfile
 
 from . import metrics, scenario
 from .errors import ContractViolationError
+from .scenario import ScenarioConfig
 from .separator import CONTRASTS, OnlineAuxIva, OnlineConfig, UpdateSchedule
 from .stft import Spectrogram, StftConfig, analyze, synthesize
 
 
-class UsageError(Exception):
-    """Invalid invocation or unusable input; mapped to exit code 2."""
+class UsageError(ContractViolationError):
+    """Invalid invocation or unusable input; like every contract violation,
+    mapped to exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +88,15 @@ def parse_config_file(path) -> dict[str, str]:
             raise UsageError(f"{path}:{lineno}: empty key or value")
         values[key] = value
     return values
+
+
+def _read_manifest(path) -> dict:
+    """Load a scenario ``manifest.json``; a missing or malformed file is a usage error."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read manifest {path}: {exc}") from exc
 
 
 def parse_selector(text: str, n_src: int, switch_sample_hint, stft_cfg: StftConfig):
@@ -192,8 +207,6 @@ def run_moving_experiment(
     stft_cfg: StftConfig,
     method: str,
     mode: str,
-    alpha: float = 0.99,
-    n_iter: int = 2,
 ):
     """Run one arm of the moving-source comparison.
 
@@ -222,7 +235,7 @@ def run_moving_experiment(
     def decide(pre_estimates: np.ndarray) -> None:
         chosen["channel"] = moving_output_channel(truth, pre_estimates)
 
-    online_cfg = OnlineConfig(alpha=alpha, n_iter=n_iter, method=method, selector=selector)
+    online_cfg = OnlineConfig(method=method, selector=selector)
     estimates, info = _run_pipeline(truth.mixtures, stft_cfg, online_cfg, switch_frame, decide)
     return estimates, {**info, "moving_channel": chosen.get("channel")}
 
@@ -241,7 +254,7 @@ def run_separation(mixtures: np.ndarray, stft_cfg: StftConfig, online_cfg: Onlin
 # ---------------------------------------------------------------------------
 
 
-def _scenario_from_args(args) -> scenario.ScenarioConfig:
+def _scenario_from_args(args) -> ScenarioConfig:
     values = parse_config_file(args.config) if args.config else {}
 
     def pick(flag, key, cast, default):
@@ -254,35 +267,36 @@ def _scenario_from_args(args) -> scenario.ScenarioConfig:
                 raise UsageError(f"config key {key}: {exc}") from exc
         return default
 
-    n_src = pick(args.sources, "sources", int, 3)
+    n_src = pick(args.sources, "sources", int, ScenarioConfig.n_src)
     # the stock scenario (3 sources, one of them moving) keeps its move by
     # default; any other source count defaults to a static scene
     move_raw = values.get("move_source", "3" if n_src == 3 else "none")
     if args.move_source is not None:
         move_raw = args.move_source
-    move_source = None if str(move_raw).lower() in ("none", "0", "") else int(move_raw)
+    try:
+        move_source = None if str(move_raw).lower() in ("none", "0", "") else int(move_raw)
+    except ValueError as exc:
+        raise UsageError(f"move_source must be a 1-based index or 'none', got {move_raw!r}") from exc
     if move_source is not None and not 1 <= move_source <= n_src:
         raise UsageError(f"move_source {move_source} out of range 1..{n_src}")
     mixing_mode = pick(args.mixing, "mixing", str, "random")
     if mixing_mode not in ("random", "echoes"):
         raise UsageError(f"mixing must be 'random' or 'echoes', got {mixing_mode!r}")
-    try:
-        return scenario.ScenarioConfig(
-            n_src=n_src,
-            duration_s=pick(args.duration_s, "duration_s", float, 60.0),
-            sample_rate=pick(args.sample_rate, "sample_rate", int, 16000),
-            seed=pick(args.seed, "seed", int, 0),
-            mixing_mode="instantaneous" if mixing_mode == "random" else "convolutive",
-            move_source=None if move_source is None else move_source - 1,
-            move_time_s=None
-            if move_source is None
-            else pick(args.move_time_s, "move_time_s", float, 30.0),
-        )
-    except ContractViolationError as exc:
-        raise UsageError(str(exc)) from exc
+    duration_s = pick(args.duration_s, "duration_s", float, ScenarioConfig.duration_s)
+    return ScenarioConfig(
+        n_src=n_src,
+        duration_s=duration_s,
+        sample_rate=pick(args.sample_rate, "sample_rate", int, ScenarioConfig.sample_rate),
+        seed=pick(args.seed, "seed", int, ScenarioConfig.seed),
+        mixing_mode="instantaneous" if mixing_mode == "random" else "convolutive",
+        move_source=None if move_source is None else move_source - 1,
+        move_time_s=None
+        if move_source is None
+        else pick(args.move_time_s, "move_time_s", float, duration_s / 2.0),
+    )
 
 
-def _write_scenario(truth: scenario.GroundTruth, cfg: scenario.ScenarioConfig, out_dir: Path) -> dict:
+def _write_scenario(truth: scenario.GroundTruth, cfg: ScenarioConfig, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     files = {"mixture": "mixture.wav", "sources": [], "images_mic1": []}
     write_wav(out_dir / "mixture.wav", cfg.sample_rate, truth.mixtures)
@@ -311,9 +325,7 @@ def _write_scenario(truth: scenario.GroundTruth, cfg: scenario.ScenarioConfig, o
         },
         "files": files,
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    metrics.write_summary_json(out_dir / "manifest.json", manifest)
     return manifest
 
 
@@ -328,32 +340,23 @@ def cmd_simulate(args) -> int:
 
 
 def _online_config_from_args(args, n_src: int, stft_cfg: StftConfig, switch_hint) -> OnlineConfig:
-    selector = parse_selector(args.selector, n_src, switch_hint, stft_cfg)
-    try:
-        return OnlineConfig(
-            alpha=args.alpha,
-            n_iter=args.n_iter,
-            method=args.method,
-            update_period=args.update_period,
-            selector=selector,
-            contrast=args.contrast,
-        )
-    except ContractViolationError as exc:
-        raise UsageError(str(exc)) from exc
+    return OnlineConfig(
+        alpha=args.alpha,
+        n_iter=args.n_iter,
+        method=args.method,
+        update_period=args.update_period,
+        selector=parse_selector(args.selector, n_src, switch_hint, stft_cfg),
+        contrast=args.contrast,
+    )
 
 
 def cmd_separate(args) -> int:
     rate, mixtures = read_wav(args.mixture)
     stft_cfg = StftConfig(frame_len=args.frame_len, sample_rate=rate)
-    if mixtures.shape[1] < stft_cfg.frame_len:
-        raise UsageError(
-            f"input of {mixtures.shape[1]} samples is shorter than one STFT frame"
-        )
     n_src = mixtures.shape[0]
     switch_hint = None
     if args.manifest:
-        with open(args.manifest) as fh:
-            manifest = json.load(fh)
+        manifest = _read_manifest(args.manifest)
         if manifest["n_src"] != n_src:
             raise UsageError(
                 f"manifest has {manifest['n_src']} channels but input has {n_src}"
@@ -377,9 +380,7 @@ def cmd_separate(args) -> int:
         "frames": info["frames"],
         "degenerate_updates": info["degenerate_updates"],
     }
-    with open(out_dir / "diagnostics.json", "w") as fh:
-        json.dump(diagnostics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    metrics.write_summary_json(out_dir / "diagnostics.json", diagnostics)
     print(
         f"separated {n_src} sources in {info['update_loop_s']:.3f} s update loop "
         f"({info['total_s']:.3f} s total)"
@@ -388,8 +389,7 @@ def cmd_separate(args) -> int:
 
 
 def _load_truth_for_eval(manifest_path) -> tuple[dict, scenario.GroundTruth]:
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = _read_manifest(manifest_path)
     base = Path(manifest_path).parent
     _, mixtures = read_wav(base / manifest["files"]["mixture"])
     images = []
@@ -461,13 +461,8 @@ DEMO_METHODS = (
 def cmd_demo(args) -> int:
     out_dir = Path(args.output_dir)
     scen_dir = out_dir / "scenario"
-    cfg = scenario.ScenarioConfig(
-        n_src=3,
-        duration_s=args.duration_s,
-        sample_rate=16000,
-        seed=args.seed,
-        move_source=2,
-        move_time_s=args.duration_s / 2.0,
+    cfg = ScenarioConfig(
+        duration_s=args.duration_s, seed=args.seed, move_source=2, move_time_s=args.duration_s / 2.0
     )
     truth = scenario.build(cfg)
     _write_scenario(truth, cfg, scen_dir)
@@ -477,17 +472,15 @@ def cmd_demo(args) -> int:
         "config": {
             "duration_s": cfg.duration_s,
             "seed": cfg.seed,
-            "alpha": args.alpha,
-            "n_iter": args.n_iter,
+            "alpha": OnlineConfig.alpha,
+            "n_iter": OnlineConfig.n_iter,
             "segment_len": args.segment_len,
             "move_time_s": cfg.move_time_s,
         },
         "methods": {},
     }
     for label, method, mode in DEMO_METHODS:
-        estimates, info = run_moving_experiment(
-            truth, stft_cfg, method, mode, alpha=args.alpha, n_iter=args.n_iter
-        )
+        estimates, info = run_moving_experiment(truth, stft_cfg, method, mode)
         report = metrics.sdr_improvement(truth, estimates, segment_len=args.segment_len)
         rows.extend(metrics.improvement_rows(label, report))
         summary["methods"][label] = {
@@ -514,17 +507,17 @@ def cmd_demo(args) -> int:
 
 
 def _add_separation_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=("ip", "iss"), default="iss")
+    p.add_argument("--method", choices=("ip", "iss"), default=OnlineConfig.method)
     p.add_argument(
         "--selector",
         default="all",
         help="'all' or 'one:<k>:<switch>' with <switch> a frame index, '<sec>s' or 'auto'",
     )
-    p.add_argument("--alpha", type=float, default=0.99)
-    p.add_argument("--n-iter", type=int, default=2)
-    p.add_argument("--update-period", type=int, default=1)
-    p.add_argument("--contrast", choices=CONTRASTS, default="laplace")
-    p.add_argument("--frame-len", type=int, default=1024)
+    p.add_argument("--alpha", type=float, default=OnlineConfig.alpha)
+    p.add_argument("--n-iter", type=int, default=OnlineConfig.n_iter)
+    p.add_argument("--update-period", type=int, default=OnlineConfig.update_period)
+    p.add_argument("--contrast", choices=CONTRASTS, default=OnlineConfig.contrast)
+    p.add_argument("--frame-len", type=int, default=StftConfig.frame_len)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -563,10 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="moving-source comparison of IP/ISS x all/one")
     p.add_argument("-o", "--output-dir", default="demo_out")
-    p.add_argument("--duration-s", dest="duration_s", type=float, default=60.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=0.99)
-    p.add_argument("--n-iter", type=int, default=2)
+    p.add_argument("--duration-s", dest="duration_s", type=float, default=ScenarioConfig.duration_s)
+    p.add_argument("--seed", type=int, default=ScenarioConfig.seed)
     p.add_argument("--segment-len", type=int, default=metrics.DEFAULT_SEGMENT_LEN)
     p.set_defaults(func=cmd_demo)
 
@@ -574,14 +565,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ContractViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ContractViolationError, RuntimeError, OSError) as exc:
+    except (RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

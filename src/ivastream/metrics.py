@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ContractViolationError
 from .scenario import GroundTruth
@@ -105,6 +104,9 @@ def resolve_permutation(references: np.ndarray, estimates: np.ndarray) -> tuple[
     ests = np.asarray(estimates, dtype=np.float64)
     if refs.shape != ests.shape or refs.ndim != 2:
         raise ContractViolationError("references and estimates must both be (K, N)")
+    # imported here, not at module level: scipy.optimize takes ~0.6 s to import
+    from scipy.optimize import linear_sum_assignment
+
     k = refs.shape[0]
     scores = np.array([[si_sdr(refs[i], ests[j]) for j in range(k)] for i in range(k)])
     _, cols = linear_sum_assignment(scores, maximize=True)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import ContractViolationError
 
@@ -57,6 +56,8 @@ class ScenarioConfig:
             raise ContractViolationError("n_src must be >= 1")
         if self.duration_s <= 0:
             raise ContractViolationError("duration_s must be positive")
+        if self.sample_rate <= 0:
+            raise ContractViolationError("sample_rate must be positive")
         if self.mixing_mode not in ("instantaneous", "convolutive"):
             raise ContractViolationError(f"unknown mixing mode {self.mixing_mode!r}")
         if (self.move_source is None) != (self.move_time_s is None):
@@ -166,6 +167,17 @@ def _split_at(sig: np.ndarray, sample: int) -> tuple[np.ndarray, np.ndarray]:
     return pre, post
 
 
+def _image(op: np.ndarray, s: int, sig: np.ndarray) -> np.ndarray:
+    """Microphone images (K, N) of source ``s`` playing ``sig`` through
+    ``op``, a (K, K) mixing matrix or a (K, K, L) FIR bank ``h[mic, src, tap]``."""
+    if op.ndim == 2:
+        return np.outer(op[:, s], sig)
+    # imported here, not at module level: scipy.signal takes ~0.9 s to import
+    from scipy.signal import fftconvolve
+
+    return np.stack([fftconvolve(sig, op[m, s])[: len(sig)] for m in range(op.shape[0])])
+
+
 def mix(cfg: ScenarioConfig, sources: np.ndarray) -> GroundTruth:
     """Apply the configured mixing operator, tracking per-source images.
 
@@ -202,13 +214,6 @@ def mix(cfg: ScenarioConfig, sources: np.ndarray) -> GroundTruth:
                     break
             else:
                 raise ContractViolationError("could not sample a post-move column")
-        images = np.empty((k, k, n))
-        for s in range(k):
-            if s == cfg.move_source:
-                pre, post = _split_at(sources[s], move_sample)
-                images[s] = np.outer(a_pre[:, s], pre) + np.outer(a_post[:, s], post)
-            else:
-                images[s] = np.outer(a_pre[:, s], sources[s])
         mixing_pre, mixing_post = a_pre, a_post
     else:
         if cfg.mixing is None:
@@ -226,18 +231,15 @@ def mix(cfg: ScenarioConfig, sources: np.ndarray) -> GroundTruth:
             length = min(h_post.shape[2], post_filters.shape[1])
             h_post[:, cfg.move_source, :] = 0.0
             h_post[:, cfg.move_source, :length] = post_filters[:, :length]
-        images = np.empty((k, k, n))
-        for s in range(k):
-            segments = [(h_pre, sources[s])]
-            if s == cfg.move_source:
-                pre, post = _split_at(sources[s], move_sample)
-                segments = [(h_pre, pre), (h_post, post)]
-            images[s] = 0.0
-            for bank, sig in segments:
-                for m in range(k):
-                    images[s, m] += fftconvolve(sig, bank[m, s])[:n]
         mixing_pre, mixing_post = h_pre, h_post
 
+    images = np.empty((k, k, n))
+    for s in range(k):
+        if s == cfg.move_source:
+            pre, post = _split_at(sources[s], move_sample)
+            images[s] = _image(mixing_pre, s, pre) + _image(mixing_post, s, post)
+        else:
+            images[s] = _image(mixing_pre, s, sources[s])
     mixtures = images.sum(axis=0)
     return GroundTruth(
         sources=sources,

@@ -131,6 +131,8 @@ class UpdateSchedule:
     @classmethod
     def switch_to(cls, n_src: int, moving: int | Sequence[int], switch_frame: int) -> "UpdateSchedule":
         """All sources up to ``switch_frame``, then only the moving one(s)."""
+        if switch_frame < 1:
+            raise ContractViolationError(f"switch_frame is 1-based, got {switch_frame}")
         after = (moving,) if isinstance(moving, int) else tuple(moving)
         if not after:
             raise ContractViolationError("the post-switch update set must be nonempty")

@@ -116,6 +116,12 @@ class TestSimulate:
             ) == 0
         assert (first / "mixture.wav").read_bytes() == (second / "mixture.wav").read_bytes()
 
+    def test_default_move_is_at_half_the_duration(self, tmp_path):
+        out = tmp_path / "short"
+        assert run_cli("simulate", "--duration-s", "2", "-o", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["move"] == {"source": 3, "time_s": 1.0, "sample": 16000}
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "scen.cfg"
         cfg.write_text("sources = 2\nduration_s = 2\nmove_source = none\nseed = 9\n")
@@ -204,6 +210,33 @@ class TestSeparateAndEvaluate:
             "-o", str(tmp_path / "bad"),
         )
         assert code == 2
+
+
+CONTRACT_VIOLATIONS = {
+    "frame_len_not_power_of_two": ("separate", "{mix}", "--frame-len", "1000"),
+    "switch_before_frame_1": ("separate", "{mix}", "--selector", "one:2:-5"),
+    "missing_manifest": ("separate", "{mix}", "--manifest", "{tmp}/absent.json"),
+    "malformed_manifest": ("separate", "{mix}", "--manifest", "{bad}"),
+    "negative_duration": ("demo", "--duration-s", "-1"),
+    "malformed_manifest_evaluate": ("evaluate", "{bad}", "{scen}"),
+    "zero_segment_len": (
+        "evaluate", "{scen}/manifest.json", "{scen}/image_mic1_1.wav", "{scen}/image_mic1_2.wav",
+        "{scen}/image_mic1_3.wav", "--segment-len", "0",
+    ),
+    "move_source_not_an_index": ("simulate", "--move-source", "third"),
+    "zero_sample_rate": ("simulate", "--sample-rate", "0", "--duration-s", "2"),
+}
+
+
+@pytest.mark.parametrize("argv", CONTRACT_VIOLATIONS.values(), ids=CONTRACT_VIOLATIONS.keys())
+def test_contract_violation_exits_2(argv, scenario_dir, tmp_path, capsys):
+    bad = tmp_path / "manifest.json"
+    bad.write_text('{"n_src": 3,')
+    fields = {"mix": scenario_dir / "mixture.wav", "scen": scenario_dir, "tmp": tmp_path, "bad": bad}
+    code = run_cli(*(arg.format(**fields) for arg in argv), "-o", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestMovingExperiment:

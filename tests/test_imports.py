@@ -1,7 +1,11 @@
 """Module boundaries: no module of the package imports a sibling's private
-name, so each kernel keeps one implementation behind one public name."""
+name, so each kernel keeps one implementation behind one public name; and
+``import ivastream`` loads no heavy module that only some paths need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ivastream
@@ -23,3 +27,18 @@ def private_imports(path: Path):
 def test_no_module_imports_a_private_sibling_name():
     offenders = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in private_imports(path)]
     assert not offenders, offenders
+
+
+def test_import_leaves_out_scipy_signal_and_optimize():
+    # each takes most of a second to import, and only scene synthesis and
+    # scoring need them, so the streaming path imports neither
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    code = "import sys, ivastream; print(sorted({'scipy.signal', 'scipy.optimize'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

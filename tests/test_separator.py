@@ -369,6 +369,12 @@ class TestEngine:
         with pytest.raises(ContractViolationError):
             UpdateSchedule.switch_to(3, [], 10)
 
+    def test_switch_before_frame_1_rejected(self):
+        # frames are 1-based: frame 0 or below would silently mean frame 1
+        with pytest.raises(ContractViolationError, match="1-based"):
+            UpdateSchedule.switch_to(3, 0, 0)
+        assert UpdateSchedule.switch_to(3, 0, 1).indices(1) == (0,)
+
     def test_iss_path_is_inverse_free(self, rng):
         engine = OnlineAuxIva(16, 3, OnlineConfig(method="iss"))
         op_counter.reset()
