@@ -87,19 +87,10 @@ def cost(W: np.ndarray, spec: Spectrogram, contrast: str = "laplace") -> float:
     return data_term - 2.0 * float(np.sum(logdet))
 
 
-def batch_weighted_covariance(
-    spec: Spectrogram, W: np.ndarray, contrast: str = "laplace", k: int | None = None, f: int | None = None
-) -> np.ndarray:
-    """Weighted covariance ``U_kf = (1/T) sum_t phi(r_kt) x_ft x_ft^H``.
-
-    Returns the (K, F, K, K) stack, or the single matrix for given (k, f).
-    """
-    U = _covariances_from(_to_ftk(spec), W, ContrastModel(contrast, spec.n_bins))
-    if k is not None and f is not None:
-        return U[k, f]
-    if k is not None:
-        return U[k]
-    return U
+def batch_weighted_covariance(spec: Spectrogram, W: np.ndarray, contrast: str = "laplace") -> np.ndarray:
+    """Weighted covariances ``U_kf = (1/T) sum_t phi(r_kt) x_ft x_ft^H``,
+    as the (K, F, K, K) stack."""
+    return _covariances_from(_to_ftk(spec), W, ContrastModel(contrast, spec.n_bins))
 
 
 def _covariances_from(X: np.ndarray, W: np.ndarray, model: ContrastModel) -> np.ndarray:

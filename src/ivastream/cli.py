@@ -4,16 +4,11 @@
 pipeline behind ``separate`` and ``demo``, reusable from Python.
 
 Exit codes: 0 on success; 2 on every ``ContractViolationError``, which
-covers usage errors (bad flags, malformed config or manifest, unusable
-input files) and every precondition a config object or kernel checks; 1 on
-runtime failures (``RuntimeError``, ``OSError``).  Engine, STFT and
-scenario flags take their defaults from ``OnlineConfig``, ``StftConfig``
-and ``ScenarioConfig``.
-
-Scenario config files are flat ``key = value`` text (``#`` comments); CLI
-flags override file values.  Recognised keys: ``sources``, ``duration_s``,
-``sample_rate``, ``seed``, ``mixing`` (``random`` | ``echoes``),
-``move_source`` (1-based, ``none`` to disable), ``move_time_s``.
+covers usage errors (bad flags, a missing, malformed or incomplete
+manifest, unusable input files) and every precondition a config object or
+kernel checks; 1 on runtime failures (``RuntimeError``, ``OSError``).
+Engine, STFT and scenario flags take their defaults from ``OnlineConfig``,
+``StftConfig`` and ``ScenarioConfig``; a scenario is set by flags only.
 """
 
 from __future__ import annotations
@@ -40,7 +35,7 @@ class UsageError(ContractViolationError):
 
 
 # ---------------------------------------------------------------------------
-# WAV and config-file helpers
+# WAV, manifest and selector helpers
 # ---------------------------------------------------------------------------
 
 
@@ -71,37 +66,34 @@ def write_wav(path, rate: int, data: np.ndarray) -> None:
     wavfile.write(path, rate, arr)
 
 
-def parse_config_file(path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key or not value:
-            raise UsageError(f"{path}:{lineno}: empty key or value")
-        values[key] = value
-    return values
+#: The ``manifest.json`` keys ``separate`` and ``evaluate`` read (dotted
+#: for nesting); a non-null ``move`` must also hold ``source`` and ``sample``.
+_MANIFEST_KEYS = ("n_src", "sample_rate", "mixing_pre", "move", "files.mixture", "files.images_mic1")
 
 
 def _read_manifest(path) -> dict:
-    """Load a scenario ``manifest.json``; a missing or malformed file is a usage error."""
+    """Load a scenario ``manifest.json``; a missing or malformed file, or
+    one that lacks a key of ``_MANIFEST_KEYS``, is a usage error."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            manifest = json.load(fh)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read manifest {path}: {exc}") from exc
+    keys = _MANIFEST_KEYS
+    if isinstance(manifest, dict) and manifest.get("move"):
+        keys += ("move.source", "move.sample")
+    for key in keys:
+        node = manifest
+        for part in key.split("."):
+            if not isinstance(node, dict) or part not in node:
+                raise UsageError(f"manifest {path} has no key {key!r}")
+            node = node[part]
+    return manifest
 
 
 def parse_selector(text: str, n_src: int, switch_sample_hint, stft_cfg: StftConfig):
     """Parse ``all`` or ``one:<k>:<switch>`` (k 1-based; switch = frame
-    index, ``<sec>s`` or ``t(<sec>s)``)."""
+    index, ``<sec>s`` or ``auto``)."""
     if text == "all":
         return UpdateSchedule.all_sources(n_src)
     parts = text.split(":")
@@ -118,20 +110,17 @@ def parse_selector(text: str, n_src: int, switch_sample_hint, stft_cfg: StftConf
         if switch_sample_hint is None:
             raise UsageError("selector switch 'auto' needs a scenario with a move")
         switch_frame = int(switch_sample_hint) // stft_cfg.hop + 1
+    elif spec.endswith("s"):
+        try:
+            seconds = float(spec[:-1])
+        except ValueError as exc:
+            raise UsageError(f"bad selector switch time {spec!r}") from exc
+        switch_frame = int(seconds * stft_cfg.sample_rate) // stft_cfg.hop + 1
     else:
-        if spec.startswith("t(") and spec.endswith(")"):
-            spec = spec[2:-1]
-        if spec.endswith("s"):
-            try:
-                seconds = float(spec[:-1])
-            except ValueError as exc:
-                raise UsageError(f"bad selector switch time {parts[2]!r}") from exc
-            switch_frame = int(seconds * stft_cfg.sample_rate) // stft_cfg.hop + 1
-        else:
-            try:
-                switch_frame = int(spec)
-            except ValueError as exc:
-                raise UsageError(f"bad selector switch frame {parts[2]!r}") from exc
+        try:
+            switch_frame = int(spec)
+        except ValueError as exc:
+            raise UsageError(f"bad selector switch frame {spec!r}") from exc
     return UpdateSchedule.switch_to(n_src, k - 1, switch_frame)
 
 
@@ -197,7 +186,6 @@ def _run_pipeline(
         "total_s": update_s + project_s + stft_s,
         "frames": n_frames,
         "degenerate_updates": engine.diagnostics.counts,
-        "flops": vars(engine.flops).copy(),
     }
     return estimates, info
 
@@ -255,44 +243,26 @@ def run_separation(mixtures: np.ndarray, stft_cfg: StftConfig, online_cfg: Onlin
 
 
 def _scenario_from_args(args) -> ScenarioConfig:
-    values = parse_config_file(args.config) if args.config else {}
-
-    def pick(flag, key, cast, default):
-        if flag is not None:
-            return flag
-        if key in values:
-            try:
-                return cast(values[key])
-            except ValueError as exc:
-                raise UsageError(f"config key {key}: {exc}") from exc
-        return default
-
-    n_src = pick(args.sources, "sources", int, ScenarioConfig.n_src)
     # the stock scenario (3 sources, one of them moving) keeps its move by
     # default; any other source count defaults to a static scene
-    move_raw = values.get("move_source", "3" if n_src == 3 else "none")
-    if args.move_source is not None:
-        move_raw = args.move_source
+    move_raw = args.move_source
+    if move_raw is None:
+        move_raw = "3" if args.sources == 3 else "none"
     try:
-        move_source = None if str(move_raw).lower() in ("none", "0", "") else int(move_raw)
+        move_source = None if move_raw.lower() in ("none", "0", "") else int(move_raw)
     except ValueError as exc:
         raise UsageError(f"move_source must be a 1-based index or 'none', got {move_raw!r}") from exc
-    if move_source is not None and not 1 <= move_source <= n_src:
-        raise UsageError(f"move_source {move_source} out of range 1..{n_src}")
-    mixing_mode = pick(args.mixing, "mixing", str, "random")
-    if mixing_mode not in ("random", "echoes"):
-        raise UsageError(f"mixing must be 'random' or 'echoes', got {mixing_mode!r}")
-    duration_s = pick(args.duration_s, "duration_s", float, ScenarioConfig.duration_s)
+    if move_source is not None and not 1 <= move_source <= args.sources:
+        raise UsageError(f"move_source {move_source} out of range 1..{args.sources}")
+    move_time_s = args.duration_s / 2.0 if args.move_time_s is None else args.move_time_s
     return ScenarioConfig(
-        n_src=n_src,
-        duration_s=duration_s,
-        sample_rate=pick(args.sample_rate, "sample_rate", int, ScenarioConfig.sample_rate),
-        seed=pick(args.seed, "seed", int, ScenarioConfig.seed),
-        mixing_mode="instantaneous" if mixing_mode == "random" else "convolutive",
+        n_src=args.sources,
+        duration_s=args.duration_s,
+        sample_rate=args.sample_rate,
+        seed=args.seed,
+        mixing_mode="instantaneous" if args.mixing == "random" else "convolutive",
         move_source=None if move_source is None else move_source - 1,
-        move_time_s=None
-        if move_source is None
-        else pick(args.move_time_s, "move_time_s", float, duration_s / 2.0),
+        move_time_s=None if move_source is None else move_time_s,
     )
 
 
@@ -528,14 +498,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic ground-truth scenario")
-    p.add_argument("--config", help="flat key=value scenario file")
-    p.add_argument("--sources", type=int)
-    p.add_argument("--duration-s", dest="duration_s", type=float)
-    p.add_argument("--sample-rate", dest="sample_rate", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--mixing", choices=("random", "echoes"))
-    p.add_argument("--move-source", dest="move_source", help="1-based index or 'none'")
-    p.add_argument("--move-time-s", dest="move_time_s", type=float)
+    p.add_argument("--sources", type=int, default=ScenarioConfig.n_src)
+    p.add_argument("--duration-s", dest="duration_s", type=float, default=ScenarioConfig.duration_s)
+    p.add_argument("--sample-rate", dest="sample_rate", type=int, default=ScenarioConfig.sample_rate)
+    p.add_argument("--seed", type=int, default=ScenarioConfig.seed)
+    p.add_argument("--mixing", choices=("random", "echoes"), default="random")
+    p.add_argument(
+        "--move-source",
+        dest="move_source",
+        help="1-based index or 'none' (default: 3 with 3 sources, else none)",
+    )
+    p.add_argument(
+        "--move-time-s", dest="move_time_s", type=float, help="default: half the duration"
+    )
     p.add_argument("-o", "--output-dir", default="scenario_out")
     p.set_defaults(func=cmd_simulate)
 

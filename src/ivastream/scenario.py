@@ -12,7 +12,7 @@ always sum exactly to the mixtures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +84,6 @@ class GroundTruth:
     mixing_post: np.ndarray | None = None
     move_source: int | None = None
     move_sample: int | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def images_mic1(self) -> np.ndarray:
@@ -250,7 +249,6 @@ def mix(cfg: ScenarioConfig, sources: np.ndarray) -> GroundTruth:
         mixing_post=mixing_post,
         move_source=cfg.move_source,
         move_sample=move_sample,
-        meta={"seed": cfg.seed, "mixing_mode": cfg.mixing_mode},
     )
 
 

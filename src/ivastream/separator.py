@@ -268,15 +268,13 @@ def _outer(x: np.ndarray) -> np.ndarray:
     return linalg.hermitian_part(x[:, None] * np.conj(x[None]), axes=(0, 1))
 
 
-def source_activity(W: np.ndarray, frame: np.ndarray, k: int | None = None):
-    """Per-source activity ``r_k = sqrt(sum_f |w_k,f^H x_f|^2)``, floored at
-    :data:`R_FLOOR`.
+def source_activity(W: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Per-source activities ``r_k = sqrt(sum_f |w_k,f^H x_f|^2)``, floored
+    at :data:`R_FLOOR`.
 
-    ``W`` is (F, K, K), ``frame`` is (F, K).  Returns a scalar for a given
-    ``k`` or the full length-K vector when ``k`` is None.
+    ``W`` is (F, K, K), ``frame`` is (F, K); returns the length-K vector.
     """
-    r = _activity(_matrices_last(W), _vectors_last(frame))
-    return float(r[k]) if k is not None else r
+    return _activity(_matrices_last(W), _vectors_last(frame))
 
 
 def _activity(W: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -447,6 +445,7 @@ class OnlineAuxIva:
         if sel is None:
             sel = UpdateSchedule.all_sources(self.n_src)
         self._indices_at = sel.indices if isinstance(sel, UpdateSchedule) else sel
+        self._step = self._iss_step if config.method == "iss" else self._ip_step
         self.flops = FlopCounter()
         self.reset()
 
@@ -455,6 +454,7 @@ class OnlineAuxIva:
         eye = np.eye(self.n_src, dtype=np.complex128)[:, :, None]
         self._W = np.repeat(eye, self.n_bins, axis=2)
         self._U = np.repeat(INIT_COVARIANCE_SCALE * self._W[None], self.n_src, axis=0)
+        # the frame's U, committed only on completion: a frame that raises leaves _U intact
         self._U_next = np.empty_like(self._U)
         self.diagnostics = DiagnosticsLog()
         self.flops.reset()
@@ -477,14 +477,15 @@ class OnlineAuxIva:
         if not np.all(ok):  # degenerate bins keep their rows
             self.diagnostics.record("iss_degenerate", t, k, np.flatnonzero(~ok))
         _iss_apply(self._W, v, k, ok)
+        self.flops.iss_coefficients += FlopCounter.iss_coefficient_flops(self.n_src, self.n_bins)
+        self.flops.iss_apply += FlopCounter.iss_apply_flops(self.n_src, self.n_bins)
 
     def _ip_step(self, k: int, t: int) -> None:
         z, ok = _masked_ip_vector(self._W, self._U_next[k], k)
-        if np.all(ok):
-            self._W[k] = np.conj(z)
-        else:
-            self._W[k] = np.where(ok, np.conj(z), self._W[k])
+        self._W[k] = np.where(ok, np.conj(z), self._W[k])
+        if not np.all(ok):  # degenerate bins keep their rows
             self.diagnostics.record("ip_degenerate", t, k, np.flatnonzero(~ok))
+        self.flops.ip_update += FlopCounter.ip_update_flops(self.n_src, self.n_bins)
 
     # -- public streaming API ----------------------------------------------
 
@@ -522,13 +523,7 @@ class OnlineAuxIva:
             _refresh(((1.0 - alpha) * phi)[:, None, None, None], outer, decayed, self._U_next)
             self.flops.covariance += k * FlopCounter.covariance_flops(k, f)
             for idx in indices:
-                if self.config.method == "iss":
-                    self._iss_step(idx, t)
-                    self.flops.iss_coefficients += FlopCounter.iss_coefficient_flops(k, f)
-                    self.flops.iss_apply += FlopCounter.iss_apply_flops(k, f)
-                else:
-                    self._ip_step(idx, t)
-                    self.flops.ip_update += FlopCounter.ip_update_flops(k, f)
+                self._step(idx, t)
         self._U, self._U_next = self._U_next, self._U
         return _demix(self._W, x).T
 
@@ -547,11 +542,10 @@ class OnlineAuxIva:
             raise ContractViolationError(
                 f"expected (K={self.n_src}, T, F={self.n_bins}) spectrogram, got {data.shape}"
             )
-        n_frames = data.shape[1]
         out = np.empty_like(data)
         update_s = 0.0
         project_s = 0.0
-        for t in range(n_frames):
+        for t in range(data.shape[1]):
             x = data[:, t, :].T
             tic = time.perf_counter()
             y = self.process_frame(x)
@@ -560,5 +554,4 @@ class OnlineAuxIva:
             y = project_back(self.demix, y)
             project_s += time.perf_counter() - tic
             out[:, t, :] = y.T
-        timing = {"update_loop_s": update_s, "projection_s": project_s, "frames": n_frames}
-        return Spectrogram(out), timing
+        return Spectrogram(out), {"update_loop_s": update_s, "projection_s": project_s}

@@ -59,7 +59,7 @@ class TestBatchWeightedCovariance:
         spec = Spectrogram(data)
         # with T = 1 the covariance is phi * x x^H; divide the weight out
         w = np.tile(np.eye(2, dtype=complex), (1, 1, 1))
-        u = batch_weighted_covariance(spec, w, "laplace", k=0, f=0)
+        u = batch_weighted_covariance(spec, w, "laplace")[0, 0]
         x = data[:, 0, 0]
         r = np.linalg.norm(x[0])
         np.testing.assert_allclose(u, 0.5 / r * np.outer(x, np.conj(x)), rtol=1e-12)
@@ -71,7 +71,7 @@ class TestBatchWeightedCovariance:
         data[0] = 1.0
         spec = Spectrogram(data)
         w = np.tile(np.eye(2, dtype=complex), (1, 1, 1))
-        u = batch_weighted_covariance(spec, w, "laplace", k=0, f=0)
+        u = batch_weighted_covariance(spec, w, "laplace")[0, 0]
         np.testing.assert_allclose(u, [[0.5, 0.0], [0.0, 0.0]], atol=1e-15)
 
     def test_matches_loop_transcription(self, rng):

@@ -2,12 +2,15 @@
 
 import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from ivastream.cli import main, parse_config_file, parse_selector, read_wav, write_wav
+from ivastream.cli import build_parser, main, parse_selector, read_wav, write_wav
 from ivastream.cli import UsageError, run_separation
 from ivastream.separator import OnlineConfig, UpdateSchedule
 from ivastream.stft import StftConfig
@@ -45,24 +48,13 @@ class TestWavRoundTrip:
 
 
 class TestConfigParsing:
-    def test_key_value_file(self, tmp_path):
-        path = tmp_path / "scenario.cfg"
-        path.write_text("# comment\nsources = 2\nduration_s = 4.5  # inline\n")
-        assert parse_config_file(path) == {"sources": "2", "duration_s": "4.5"}
-
-    def test_malformed_line_rejected(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("sources 2\n")
-        with pytest.raises(UsageError, match="bad.cfg:1"):
-            parse_config_file(path)
-
     def test_selector_forms(self):
         cfg = StftConfig()
         assert parse_selector("all", 3, None, cfg) == UpdateSchedule.all_sources(3)
         sched = parse_selector("one:3:938", 3, None, cfg)
         assert sched.after == (2,) and sched.switch_frame == 938
-        by_time = parse_selector("one:3:t(30s)", 3, None, cfg)
-        assert by_time.switch_frame == 30 * 16000 // 512 + 1
+        with pytest.raises(UsageError):
+            parse_selector("one:3:t(30s)", 3, None, cfg)
         assert parse_selector("one:2:15s", 3, None, cfg).switch_frame == 15 * 16000 // 512 + 1
         auto = parse_selector("one:1:auto", 3, 48000, cfg)
         assert auto.switch_frame == 48000 // 512 + 1
@@ -122,13 +114,10 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["move"] == {"source": 3, "time_s": 1.0, "sample": 16000}
 
-    def test_config_file_with_flag_override(self, tmp_path):
-        cfg = tmp_path / "scen.cfg"
-        cfg.write_text("sources = 2\nduration_s = 2\nmove_source = none\nseed = 9\n")
-        out = tmp_path / "cfgout"
-        assert run_cli("simulate", "--config", str(cfg), "--seed", "11", "-o", str(out)) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["n_src"] == 2 and manifest["seed"] == 11
+    def test_config_file_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--config", str(tmp_path / "x.cfg"), "-o", str(tmp_path / "out")])
+        assert excinfo.value.code == 2
 
 
 class TestSeparateAndEvaluate:
@@ -217,8 +206,11 @@ CONTRACT_VIOLATIONS = {
     "switch_before_frame_1": ("separate", "{mix}", "--selector", "one:2:-5"),
     "missing_manifest": ("separate", "{mix}", "--manifest", "{tmp}/absent.json"),
     "malformed_manifest": ("separate", "{mix}", "--manifest", "{bad}"),
+    "manifest_without_keys": ("separate", "{mix}", "--manifest", "{empty}"),
+    "time_switch_in_parentheses": ("separate", "{mix}", "--selector", "one:3:t(30s)"),
     "negative_duration": ("demo", "--duration-s", "-1"),
     "malformed_manifest_evaluate": ("evaluate", "{bad}", "{scen}"),
+    "manifest_without_keys_evaluate": ("evaluate", "{empty}", "{scen}"),
     "zero_segment_len": (
         "evaluate", "{scen}/manifest.json", "{scen}/image_mic1_1.wav", "{scen}/image_mic1_2.wav",
         "{scen}/image_mic1_3.wav", "--segment-len", "0",
@@ -232,7 +224,12 @@ CONTRACT_VIOLATIONS = {
 def test_contract_violation_exits_2(argv, scenario_dir, tmp_path, capsys):
     bad = tmp_path / "manifest.json"
     bad.write_text('{"n_src": 3,')
-    fields = {"mix": scenario_dir / "mixture.wav", "scen": scenario_dir, "tmp": tmp_path, "bad": bad}
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    fields = {
+        "mix": scenario_dir / "mixture.wav", "scen": scenario_dir, "tmp": tmp_path, "bad": bad,
+        "empty": empty,
+    }
     code = run_cli(*(arg.format(**fields) for arg in argv), "-o", str(tmp_path / "out"))
     err = capsys.readouterr().err
     assert code == 2
@@ -324,3 +321,23 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+def readme_commands():
+    """Every ``ivastream ...`` command in the README's fenced blocks, with
+    backslash continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.strip().startswith("ivastream "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 5
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # an unknown flag or subcommand exits 2

@@ -66,16 +66,16 @@ class TestSourceActivity:
     def test_unit_input_across_bins(self):
         w = np.tile(np.eye(2, dtype=complex), (4, 1, 1))
         frame = np.tile(np.array([1.0, 0.0]), (4, 1)).astype(complex)
-        assert source_activity(w, frame, 0) == pytest.approx(2.0)
+        assert source_activity(w, frame)[0] == pytest.approx(2.0)
 
     def test_zero_frame_floors(self):
         w = np.tile(np.eye(2, dtype=complex), (4, 1, 1))
-        assert source_activity(w, np.zeros((4, 2), dtype=complex), 0) == 1e-8
+        assert source_activity(w, np.zeros((4, 2), dtype=complex))[0] == 1e-8
 
     def test_orthogonal_channel_floors(self):
         w = np.tile(np.eye(2, dtype=complex), (4, 1, 1))
         frame = np.tile(np.array([0.0, 1.0]), (4, 1)).astype(complex)
-        assert source_activity(w, frame, 0) == 1e-8
+        assert source_activity(w, frame)[0] == 1e-8
 
 
 class TestUpdateCovariance:
@@ -561,6 +561,23 @@ class TestEngine:
         assert np.array_equal(np.concatenate([head.data, rest.data], axis=1), expected.data)
         assert np.array_equal(engine.demix, whole.demix)
         assert np.array_equal(engine.covariance, whole.covariance)
+
+    def test_raising_ip_frame_leaves_state_unchanged(self, rng):
+        # a frame with a non-finite bin raises in the IP solve; the engine
+        # keeps the last completed frame's state and the stream goes on
+        n_bins, n_src = 9, 3
+        engine = OnlineAuxIva(n_bins, n_src, OnlineConfig(method="ip"))
+        frames = self.frames(rng, 22, n_bins, n_src)
+        for x in frames[:20]:
+            engine.process_frame(x)
+        demix, covariance = engine.demix.copy(), engine.covariance.copy()
+        bad = frames[20].copy()
+        bad[4, 1] = np.nan
+        with pytest.raises(ContractViolationError):
+            engine.process_frame(bad)
+        assert np.array_equal(engine.demix, demix)
+        assert np.array_equal(engine.covariance, covariance)
+        assert np.all(np.isfinite(engine.process_frame(frames[21])))
 
     def test_frame_shape_validated(self):
         engine = OnlineAuxIva(4, 2)
