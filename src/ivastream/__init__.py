@@ -29,8 +29,6 @@ from .separator import (
     iss_apply,
     iss_vector,
     project_back,
-    source_activity,
-    update_covariance,
 )
 from .stft import Spectrogram, StftConfig, analyze, synthesize
 
@@ -68,8 +66,6 @@ __all__ = [
     "sdr_improvement",
     "seg_sdr",
     "si_sdr",
-    "source_activity",
     "synth_sources",
     "synthesize",
-    "update_covariance",
 ]

@@ -49,6 +49,8 @@ def read_wav(path) -> tuple[int, np.ndarray]:
         data = data.astype(np.float64) / 32768.0
     elif data.dtype == np.int32:
         data = data.astype(np.float64) / 2147483648.0
+    elif data.dtype == np.uint8:  # unsigned 8-bit PCM is centred on 128
+        data = (data.astype(np.float64) - 128.0) / 128.0
     else:
         data = data.astype(np.float64)
     if data.ndim == 1:
@@ -111,11 +113,10 @@ def parse_selector(text: str, n_src: int, switch_sample_hint, stft_cfg: StftConf
             raise UsageError("selector switch 'auto' needs a scenario with a move")
         switch_frame = int(switch_sample_hint) // stft_cfg.hop + 1
     elif spec.endswith("s"):
-        try:
-            seconds = float(spec[:-1])
-        except ValueError as exc:
+        try:  # int() raises on a NaN or infinite time
+            switch_frame = int(float(spec[:-1]) * stft_cfg.sample_rate) // stft_cfg.hop + 1
+        except (ValueError, OverflowError) as exc:
             raise UsageError(f"bad selector switch time {spec!r}") from exc
-        switch_frame = int(seconds * stft_cfg.sample_rate) // stft_cfg.hop + 1
     else:
         try:
             switch_frame = int(spec)

@@ -3,7 +3,7 @@
 The SDR functional is scale-invariant SDR: with ``beta = <y, s>/||s||^2``,
 ``SDR = 10 log10(||beta s||^2 / ||y - beta s||^2)``.  Values are capped at
 +100 dB (residual numerically zero) and floored at -100 dB (estimate
-numerically zero); caps are flagged.  References are per-source images at
+numerically zero).  References are per-source images at
 the first microphone, matching the separator's back-projection convention.
 """
 
@@ -24,7 +24,8 @@ CAP_DB = 100.0
 DEFAULT_SEGMENT_LEN = 32000
 
 
-def _si_sdr_flagged(reference: np.ndarray, estimate: np.ndarray) -> tuple[float, bool]:
+def si_sdr(reference: np.ndarray, estimate: np.ndarray) -> float:
+    """Scale-invariant SDR in dB, capped to [-100, +100]."""
     s = np.asarray(reference, dtype=np.float64)
     y = np.asarray(estimate, dtype=np.float64)
     if s.shape != y.shape or s.ndim != 1:
@@ -35,25 +36,16 @@ def _si_sdr_flagged(reference: np.ndarray, estimate: np.ndarray) -> tuple[float,
     if s_energy <= 0:
         raise ContractViolationError("reference segment has zero energy")
     if float(np.dot(y, y)) == 0.0:
-        return -CAP_DB, True
+        return -CAP_DB
     beta = float(np.dot(y, s)) / s_energy
     target = beta * s
     target_energy = float(np.dot(target, target))
     residual = y - target
     residual_energy = float(np.dot(residual, residual))
     if residual_energy <= 1e-10 * target_energy or target_energy == 0.0:
-        return CAP_DB, True
+        return CAP_DB
     value = 10.0 * np.log10(target_energy / residual_energy)
-    if value >= CAP_DB:
-        return CAP_DB, True
-    if value <= -CAP_DB:
-        return -CAP_DB, True
-    return float(value), False
-
-
-def si_sdr(reference: np.ndarray, estimate: np.ndarray) -> float:
-    """Scale-invariant SDR in dB, capped to [-100, +100]."""
-    return _si_sdr_flagged(reference, estimate)[0]
+    return float(np.clip(value, -CAP_DB, CAP_DB))
 
 
 @dataclass
@@ -62,9 +54,7 @@ class SegmentedSdr:
 
     segment_len: int
     values: np.ndarray        # (n_segments,) dB
-    capped: np.ndarray        # (n_segments,) bool
     overall: float
-    overall_capped: bool
 
     @property
     def n_segments(self) -> int:
@@ -84,13 +74,9 @@ def seg_sdr(reference: np.ndarray, estimate: np.ndarray, segment_len: int = DEFA
             f"signals of length {len(s)} are shorter than one segment ({segment_len})"
         )
     n_segments = len(s) // segment_len
-    values = np.empty(n_segments)
-    capped = np.empty(n_segments, dtype=bool)
-    for i in range(n_segments):
-        seg = slice(i * segment_len, (i + 1) * segment_len)
-        values[i], capped[i] = _si_sdr_flagged(s[seg], y[seg])
-    overall, overall_capped = _si_sdr_flagged(s, y)
-    return SegmentedSdr(segment_len, values, capped, overall, overall_capped)
+    values = np.array([si_sdr(s[i : i + segment_len], y[i : i + segment_len])
+                       for i in range(0, n_segments * segment_len, segment_len)])
+    return SegmentedSdr(segment_len, values, si_sdr(s, y))
 
 
 def resolve_permutation(references: np.ndarray, estimates: np.ndarray) -> tuple[int, ...]:

@@ -35,11 +35,11 @@ ENVELOPE_BAND_HZ = (2.0, 8.0)
 class ScenarioConfig:
     """Ground-truth generation parameters.
 
-    ``mixing`` may be ``None`` (seeded random operator), a (K, K) matrix
-    for instantaneous mixing, or a (K, K, L) FIR bank ``h[mic, src, tap]``
-    for convolutive mixing.  When ``move_source`` is set, that source's
+    The mixing operator, a (K, K) matrix for ``instantaneous`` mixing or a
+    (K, K, L) FIR bank ``h[mic, src, tap]`` for ``convolutive`` mixing, is
+    drawn from the seed stream.  When ``move_source`` is set, that source's
     column (or filter row) switches at ``move_time_s``; the replacement
-    is sampled from the same seed stream.
+    is drawn from the same stream.
     """
 
     n_src: int = 3
@@ -47,17 +47,15 @@ class ScenarioConfig:
     sample_rate: int = 16000
     seed: int = 0
     mixing_mode: str = "instantaneous"
-    mixing: np.ndarray | None = None
     move_source: int | None = None
     move_time_s: float | None = None
 
     def __post_init__(self):
         if self.n_src < 1:
             raise ContractViolationError("n_src must be >= 1")
-        if self.duration_s <= 0:
-            raise ContractViolationError("duration_s must be positive")
         if self.sample_rate <= 0:
             raise ContractViolationError("sample_rate must be positive")
+        _sample_count(self.duration_s, self.sample_rate)
         if self.mixing_mode not in ("instantaneous", "convolutive"):
             raise ContractViolationError(f"unknown mixing mode {self.mixing_mode!r}")
         if (self.move_source is None) != (self.move_time_s is None):
@@ -66,10 +64,6 @@ class ScenarioConfig:
             raise ContractViolationError("move_time_s must lie strictly inside the duration")
         if self.move_source is not None and not 0 <= self.move_source < self.n_src:
             raise ContractViolationError("move_source out of range")
-
-    @property
-    def n_samples(self) -> int:
-        return int(round(self.duration_s * self.sample_rate))
 
 
 @dataclass
@@ -91,6 +85,15 @@ class GroundTruth:
         return self.images[:, 0, :]
 
 
+def _sample_count(duration_s: float, sample_rate: int) -> int:
+    n = duration_s * sample_rate
+    if not (np.isfinite(n) and round(n) >= 1):
+        raise ContractViolationError(
+            f"duration_s must be finite and hold at least one sample, got {duration_s}"
+        )
+    return int(round(n))
+
+
 def _smooth_envelope(rng: np.random.Generator, n: int, sample_rate: int) -> np.ndarray:
     cutoff = rng.uniform(*ENVELOPE_BAND_HZ)
     z = rng.standard_normal(n)
@@ -105,9 +108,7 @@ def _smooth_envelope(rng: np.random.Generator, n: int, sample_rate: int) -> np.n
 
 def synth_sources(n_src: int, duration_s: float, sample_rate: int = 16000, seed: int = 0) -> np.ndarray:
     """Independent super-Gaussian test signals, unit RMS, seed-deterministic."""
-    if duration_s <= 0:
-        raise ContractViolationError("duration_s must be positive")
-    n = int(round(duration_s * sample_rate))
+    n = _sample_count(duration_s, sample_rate)
     rng = np.random.default_rng([seed, 0])
     out = np.empty((n_src, n))
     for k in range(n_src):
@@ -146,15 +147,6 @@ def _random_fir_bank(rng: np.random.Generator, k: int, sample_rate: int) -> np.n
             gains[0] = rng.uniform(0.7, 1.0) * (1.0 if m == s else rng.choice([-1.0, 1.0]) * 0.7)
             bank[m, s, delays] = gains
     return bank
-
-
-def _validate_matrix(a: np.ndarray, k: int, label: str) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape != (k, k):
-        raise ContractViolationError(f"{label} must have shape ({k}, {k}), got {a.shape}")
-    if not np.all(np.isfinite(a)) or np.linalg.matrix_rank(a) < k:
-        raise ContractViolationError(f"{label} must be finite and nonsingular")
-    return a
 
 
 def _split_at(sig: np.ndarray, sample: int) -> tuple[np.ndarray, np.ndarray]:
@@ -197,10 +189,7 @@ def mix(cfg: ScenarioConfig, sources: np.ndarray) -> GroundTruth:
         move_sample = int(np.floor(cfg.move_time_s * cfg.sample_rate))
 
     if cfg.mixing_mode == "instantaneous":
-        if cfg.mixing is None:
-            a_pre = _sample_mixing_matrix(rng, k)
-        else:
-            a_pre = _validate_matrix(cfg.mixing, k, "mixing")
+        a_pre = _sample_mixing_matrix(rng, k)
         a_post = None
         if cfg.move_source is not None:
             a_post = a_pre.copy()
@@ -215,21 +204,12 @@ def mix(cfg: ScenarioConfig, sources: np.ndarray) -> GroundTruth:
                 raise ContractViolationError("could not sample a post-move column")
         mixing_pre, mixing_post = a_pre, a_post
     else:
-        if cfg.mixing is None:
-            h_pre = _random_fir_bank(rng, k, cfg.sample_rate)
-        else:
-            h_pre = np.asarray(cfg.mixing, dtype=np.float64)
-            if h_pre.ndim != 3 or h_pre.shape[:2] != (k, k):
-                raise ContractViolationError(
-                    f"FIR bank must have shape ({k}, {k}, L), got {h_pre.shape}"
-                )
+        h_pre = _random_fir_bank(rng, k, cfg.sample_rate)
         h_post = None
         if cfg.move_source is not None:
-            post_filters = _random_fir_bank(rng, k, cfg.sample_rate)[:, cfg.move_source]
+            post_bank = _random_fir_bank(rng, k, cfg.sample_rate)
             h_post = h_pre.copy()
-            length = min(h_post.shape[2], post_filters.shape[1])
-            h_post[:, cfg.move_source, :] = 0.0
-            h_post[:, cfg.move_source, :length] = post_filters[:, :length]
+            h_post[:, cfg.move_source] = post_bank[:, cfg.move_source]
         mixing_pre, mixing_post = h_pre, h_post
 
     images = np.empty((k, k, n))

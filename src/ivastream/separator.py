@@ -32,8 +32,7 @@ Notes on conventions:
   diagonal picks up an imaginary residue under fused multiply-add), hence
   its explicit symmetrisation by ``linalg.hermitian_part``.
 * The engine and the public kernels share one implementation each: the
-  refresh runs the helper behind :func:`update_covariance`, and the ISS
-  and IP steps run the masked kernels behind :func:`iss_vector` and
+  ISS and IP steps run the masked kernels behind :func:`iss_vector` and
   :func:`ip_update_row`, which raise where the engine freezes and logs.
 * The source prior is named once per stream, by ``OnlineConfig.contrast``;
   the engine builds its :class:`ContrastModel` with its own bin count F.
@@ -191,10 +190,6 @@ class FlopCounter:
     iss_apply: int = 0
     ip_update: int = 0
 
-    def reset(self) -> None:
-        self.activity = self.covariance = 0
-        self.iss_coefficients = self.iss_apply = self.ip_update = 0
-
     @staticmethod
     def activity_flops(k: int, f: int) -> int:
         return f * k * k + f * k
@@ -268,53 +263,10 @@ def _outer(x: np.ndarray) -> np.ndarray:
     return linalg.hermitian_part(x[:, None] * np.conj(x[None]), axes=(0, 1))
 
 
-def source_activity(W: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """Per-source activities ``r_k = sqrt(sum_f |w_k,f^H x_f|^2)``, floored
-    at :data:`R_FLOOR`.
-
-    ``W`` is (F, K, K), ``frame`` is (F, K); returns the length-K vector.
-    """
-    return _activity(_matrices_last(W), _vectors_last(frame))
-
-
 def _activity(W: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # bins-last r_k = sqrt(sum_f |w_k,f^H x_f|^2); ContrastModel.weight floors it
     y = _demix(W, x)
-    return np.maximum(np.sqrt(np.sum(y.real**2 + y.imag**2, axis=-1)), R_FLOOR)
-
-
-def update_covariance(prev_U: np.ndarray, alpha: float, phi_r, x: np.ndarray) -> np.ndarray:
-    """One step of the autoregressive weighted-covariance recursion,
-    ``(1 - alpha) * phi_r * herm(x x^H) + alpha * herm(prev_U)``.
-
-    ``phi_r`` may be a scalar or broadcast against the batch axes of
-    ``prev_U`` (``phi[:, None]`` for a (K, F, K, K) stack).  The result is
-    exactly Hermitian; when ``prev_U`` is too, it equals the engine's
-    covariance refresh in :meth:`OnlineAuxIva.process_frame` bit for bit.
-    The blend base must be the covariance persisted at the *previous
-    frame*; within a frame's inner iterations the base is never the
-    partially updated value.
-    """
-    u_ = np.asarray(prev_U, dtype=np.complex128)
-    x_ = np.asarray(x, dtype=np.complex128)
-    w_ = np.asarray(phi_r, dtype=np.float64)
-    if not 0.0 <= alpha <= 1.0:
-        raise ContractViolationError(f"alpha must lie in [0, 1], got {alpha}")
-    if np.any(w_ < 0):
-        raise ContractViolationError("weight must be nonnegative")
-    if u_.ndim < 2 or u_.shape[-1] != u_.shape[-2] or x_.shape[-1] != u_.shape[-1]:
-        raise ContractViolationError(f"dimension mismatch: U {u_.shape}, x {x_.shape}")
-    batch = np.broadcast_shapes(u_.shape[:-2], x_.shape[:-1], w_.shape)
-    u = _matrices_last(u_, batch)
-    outer = _outer(_vectors_last(x_, batch))
-    out = _refresh((1.0 - alpha) * w_, outer, alpha * linalg.hermitian_part(u, axes=(0, 1)))
-    return np.moveaxis(out, (0, 1), (-2, -1))
-
-
-def _refresh(weight, outer: np.ndarray, decayed: np.ndarray, out=None) -> np.ndarray:
-    # bins-last covariance refresh ``weight * outer + decayed``, into ``out``
-    out = np.multiply(weight, outer, out=out)
-    out += decayed
-    return out
+    return np.sqrt(np.sum(y.real**2 + y.imag**2, axis=-1))
 
 
 def ip_update_row(W: np.ndarray, U_k: np.ndarray, k: int) -> np.ndarray:
@@ -447,17 +399,12 @@ class OnlineAuxIva:
         self._indices_at = sel.indices if isinstance(sel, UpdateSchedule) else sel
         self._step = self._iss_step if config.method == "iss" else self._ip_step
         self.flops = FlopCounter()
-        self.reset()
-
-    def reset(self) -> None:
-        """Reinitialise demixing matrices, covariances and counters."""
         eye = np.eye(self.n_src, dtype=np.complex128)[:, :, None]
         self._W = np.repeat(eye, self.n_bins, axis=2)
         self._U = np.repeat(INIT_COVARIANCE_SCALE * self._W[None], self.n_src, axis=0)
         # the frame's U, committed only on completion: a frame that raises leaves _U intact
         self._U_next = np.empty_like(self._U)
         self.diagnostics = DiagnosticsLog()
-        self.flops.reset()
         self._t = 0
 
     @property
@@ -520,7 +467,8 @@ class OnlineAuxIva:
         for _ in range(passes):
             phi = self.model.weight(_activity(self._W, x))
             self.flops.activity += FlopCounter.activity_flops(k, f)
-            _refresh(((1.0 - alpha) * phi)[:, None, None, None], outer, decayed, self._U_next)
+            np.multiply(((1.0 - alpha) * phi)[:, None, None, None], outer, out=self._U_next)
+            self._U_next += decayed
             self.flops.covariance += k * FlopCounter.covariance_flops(k, f)
             for idx in indices:
                 self._step(idx, t)

@@ -12,8 +12,11 @@ from scipy.io import wavfile
 
 from ivastream.cli import build_parser, main, parse_selector, read_wav, write_wav
 from ivastream.cli import UsageError, run_separation
+from ivastream.scenario import ScenarioConfig, build
 from ivastream.separator import OnlineConfig, UpdateSchedule
 from ivastream.stft import StftConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv):
@@ -45,6 +48,12 @@ class TestWavRoundTrip:
         wavfile.write(path, 8000, (np.arange(4) * 1000).astype(np.int16))
         _, data = read_wav(path)
         np.testing.assert_allclose(data[0], np.arange(4) * 1000 / 32768.0)
+
+    def test_pcm8_centred_on_zero(self, tmp_path):
+        path = tmp_path / "u8.wav"
+        wavfile.write(path, 8000, np.array([128, 0, 255], dtype=np.uint8))
+        _, data = read_wav(path)
+        np.testing.assert_array_equal(data[0], [0.0, -1.0, 127 / 128])
 
 
 class TestConfigParsing:
@@ -217,6 +226,11 @@ CONTRACT_VIOLATIONS = {
     ),
     "move_source_not_an_index": ("simulate", "--move-source", "third"),
     "zero_sample_rate": ("simulate", "--sample-rate", "0", "--duration-s", "2"),
+    "nan_duration": ("simulate", "--duration-s", "nan", "--move-source", "none"),
+    "infinite_duration": ("simulate", "--duration-s", "inf", "--move-source", "none"),
+    "duration_below_one_sample": ("simulate", "--duration-s", "1e-5"),
+    "nan_switch_time": ("separate", "{mix}", "--selector", "one:1:nans"),
+    "infinite_switch_time": ("separate", "{mix}", "--selector", "one:1:infs"),
 }
 
 
@@ -326,9 +340,8 @@ def test_unknown_subcommand_exits_2():
 def readme_commands():
     """Every ``ivastream ...`` command in the README's fenced blocks, with
     backslash continuation lines joined."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     commands = []
-    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S):
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), flags=re.M | re.S):
         for line in block.replace("\\\n", " ").splitlines():
             if line.strip().startswith("ivastream "):
                 commands.append(shlex.split(line, comments=True)[1:])
@@ -341,3 +354,12 @@ def test_readme_commands_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)  # an unknown flag or subcommand exits 2
+
+
+def test_readme_python_quick_start_runs():
+    (code,) = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+    mixture = build(ScenarioConfig(duration_s=2.0)).mixtures
+    namespace = {"mixture": mixture}
+    exec(code, namespace)
+    assert namespace["estimates"].shape == mixture.shape
+    assert np.all(np.isfinite(namespace["estimates"]))

@@ -21,8 +21,6 @@ from ivastream.separator import (
     iss_apply,
     iss_vector,
     project_back,
-    source_activity,
-    update_covariance,
 )
 
 from conftest import random_complex, random_psd
@@ -60,86 +58,6 @@ class TestContrastModel:
         engine = OnlineAuxIva(513, 3, OnlineConfig(contrast="gauss"))
         assert engine.model.kind == "gauss"
         assert engine.model.n_bins == 513
-
-
-class TestSourceActivity:
-    def test_unit_input_across_bins(self):
-        w = np.tile(np.eye(2, dtype=complex), (4, 1, 1))
-        frame = np.tile(np.array([1.0, 0.0]), (4, 1)).astype(complex)
-        assert source_activity(w, frame)[0] == pytest.approx(2.0)
-
-    def test_zero_frame_floors(self):
-        w = np.tile(np.eye(2, dtype=complex), (4, 1, 1))
-        assert source_activity(w, np.zeros((4, 2), dtype=complex))[0] == 1e-8
-
-    def test_orthogonal_channel_floors(self):
-        w = np.tile(np.eye(2, dtype=complex), (4, 1, 1))
-        frame = np.tile(np.array([0.0, 1.0]), (4, 1)).astype(complex)
-        assert source_activity(w, frame)[0] == 1e-8
-
-
-class TestUpdateCovariance:
-    def test_zero_weight_decays(self):
-        out = update_covariance(0.001 * np.eye(2), 0.99, 0.0, np.ones(2))
-        np.testing.assert_allclose(out, 0.00099 * np.eye(2))
-
-    def test_pure_observation(self):
-        out = update_covariance(np.eye(2) * 7.0, 0.0, 1.0, np.array([1.0, 0.0]))
-        np.testing.assert_allclose(out, [[1.0, 0.0], [0.0, 0.0]])
-
-    def test_half_blend(self):
-        out = update_covariance(2.0 * np.eye(2), 0.5, 1.0, np.array([1.0, 0.0]))
-        np.testing.assert_allclose(out, [[1.5, 0.0], [0.0, 1.0]])
-
-    def test_alpha_one_keeps_input(self, rng):
-        u = random_psd(rng, 3)
-        out = update_covariance(u, 1.0, 5.0, random_complex(rng, 3))
-        np.testing.assert_allclose(out, u, atol=1e-15)
-
-    def test_pure_rank1(self):
-        x = np.array([1.0, 1.0j])
-        out = update_covariance(np.eye(2, dtype=complex), 0.0, 2.0, x)
-        np.testing.assert_allclose(out, [[2.0, -2.0j], [2.0j, 2.0]])
-
-    def test_bitwise_hermitian(self, rng):
-        for _ in range(20):
-            k = int(rng.integers(1, 5))
-            out = update_covariance(
-                random_psd(rng, k), float(rng.uniform(0, 1)), float(rng.uniform(0, 3)),
-                random_complex(rng, k),
-            )
-            assert np.array_equal(out, np.conj(out.T))
-
-    def test_preserves_psd(self, rng):
-        for _ in range(50):
-            k = int(rng.integers(1, 5))
-            out = update_covariance(
-                random_psd(rng, k), float(rng.uniform(0, 1)), float(rng.uniform(0, 3)),
-                random_complex(rng, k),
-            )
-            eigenvalues = np.linalg.eigvalsh(out)
-            assert eigenvalues.min() >= -1e-12 * np.trace(out).real
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ContractViolationError):
-            update_covariance(np.eye(2), 0.5, -1.0, np.ones(2))
-
-    def test_bad_alpha_rejected(self):
-        with pytest.raises(ContractViolationError):
-            update_covariance(np.eye(2), 1.5, 1.0, np.ones(2))
-
-    @pytest.mark.parametrize("n_src", [1, 3])
-    def test_matches_engine_refresh_bitwise(self, rng, n_src):
-        n_bins, alpha = 8, 0.97
-        engine = OnlineAuxIva(n_bins, n_src, OnlineConfig(n_iter=1, alpha=alpha))
-        frames = random_complex(rng, 4, n_bins, n_src)
-        for x in frames[:3]:
-            engine.process_frame(x)
-        u_prev, w_prev, x = engine.covariance.copy(), engine.demix.copy(), frames[3]
-        phi = engine.model.weight(source_activity(w_prev, x))
-        engine.process_frame(x)
-        expected = update_covariance(u_prev, alpha, phi[:, None], x)
-        assert np.array_equal(engine.covariance, expected)
 
 
 class TestIpUpdateRow:
@@ -435,6 +353,9 @@ class TestEngine:
             engine.process_frame(x)
         u = engine.covariance
         assert np.array_equal(u, np.conj(np.swapaxes(u, -1, -2)))
+        # and positive semidefinite, up to rounding
+        trace = np.trace(u, axis1=-2, axis2=-1).real
+        assert np.all(np.linalg.eigvalsh(u).min(axis=-1) >= -1e-12 * trace)
 
     @pytest.mark.parametrize("method", ["iss", "ip"])
     @pytest.mark.parametrize("n_src", [2, 3, 8])
@@ -578,6 +499,12 @@ class TestEngine:
         assert np.array_equal(engine.demix, demix)
         assert np.array_equal(engine.covariance, covariance)
         assert np.all(np.isfinite(engine.process_frame(frames[21])))
+
+    def test_alpha_outside_unit_interval_rejected(self):
+        with pytest.raises(ContractViolationError):
+            OnlineConfig(alpha=1.0)
+        with pytest.raises(ContractViolationError):
+            OnlineConfig(alpha=-0.1)
 
     def test_frame_shape_validated(self):
         engine = OnlineAuxIva(4, 2)
