@@ -8,15 +8,15 @@ entry, at no copy for a view of bins-last memory such as the engine's
 state, and move the result back once on exit.  In between, the
 partial-pivot LU kernels :func:`lu_factor` and :func:`lu_solve` take and
 return bins-last stacks only: every step is elementwise numpy over
-length-B vectors, with loops and reductions over K only.  The LU exposes the pivot
-magnitudes needed for the near-singularity check; numpy's black-box
-solvers do not.  :func:`hermitian_part` is the one symmetrisation behind
-every covariance the package builds, streaming and batch.
+length-B vectors, with loops and reductions over K only.  A row carries
+its scale and index through the pivot swaps, and the solve takes unit
+vectors only.  The LU exposes the pivot magnitudes needed for the
+near-singularity check; numpy's black-box solvers do not.
+:func:`hermitian_part` is the one symmetrisation behind every covariance
+the package builds, streaming and batch.
 
 ``op_counter`` tallies how many matrices were solved/inverted since the
-last reset.  The streaming ISS update path must leave it untouched; tests
-assert this.
-"""
+last reset; the streaming ISS update path must leave it untouched."""
 
 from __future__ import annotations
 
@@ -39,8 +39,7 @@ class OpCounter:
     inversions: int = 0
 
     def reset(self) -> None:
-        self.solves = 0
-        self.inversions = 0
+        self.solves = self.inversions = 0
 
 
 op_counter = OpCounter()
@@ -54,49 +53,54 @@ def _as_matrix_batch(m, name: str = "matrix") -> tuple[np.ndarray, tuple[int, ..
         raise ContractViolationError(f"{name} must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ContractViolationError(f"{name} has non-finite entries")
-    batch_shape = m.shape[:-2]
     k = m.shape[-1]
     stack = np.moveaxis(m, (-2, -1), (0, 1)).reshape(k, k, -1)
-    return stack.astype(np.complex128, copy=False), batch_shape
+    return stack.astype(np.complex128, copy=False), m.shape[:-2]
 
 
 def lu_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Partial-pivot LU of a bins-last (K, K, B) stack, vectorised over B.
-
-    Returns ``(lu, perm, ok)`` where ``lu`` (K, K, B) packs L (unit
-    diagonal, implicit) and U, ``perm`` (K, B) holds the row permutation,
-    and ``ok`` (B,) flags batch members whose every pivot cleared the
-    relative threshold.  Pivot ties go to the first candidate row.
-    """
-    lu = np.array(m, dtype=np.complex128, order="C")
-    k, nb = lu.shape[0], lu.shape[-1]
-    perm = np.repeat(np.arange(k)[:, None], nb, axis=1)
-    # per-row magnitude of the *original* rows, permuted alongside
-    scale = np.maximum(np.max(np.abs(lu), axis=1), np.finfo(float).tiny)
+    """Partial-pivot LU of a bins-last (K, K, B) stack, vectorised over B;
+    ``m`` is left unchanged.  Returns ``(lu, perm, ok)``: ``lu`` (K, K, B)
+    packs L (unit diagonal, implicit) and U, ``perm`` (K, B) is the row
+    permutation, and ``ok`` (B,) flags members whose every pivot cleared
+    the relative threshold.  Two trailing work columns carry each row's
+    original scale (largest ``|entry|``) and index, so one ``np.where`` pair
+    swaps all three, and only for a candidate row some bin pivots on.  A
+    strict ``>`` chain over the candidates picks the pivot (a tie goes to
+    the first) and yields ``|pivot|`` for the singularity check."""
+    k, nb = m.shape[0], m.shape[-1]
+    work = np.empty((k, k + 2, nb), dtype=np.complex128)
+    lu = work[:, :k]
+    lu[...] = m
+    work[:, k] = np.maximum(np.maximum.reduce(np.abs(lu), axis=1), np.finfo(float).tiny)
+    work[:, k + 1] = np.arange(k)[:, None]
     ok = np.ones(nb, dtype=bool)
     for j in range(k):
-        p = np.argmax(np.abs(lu[j:, j]), axis=0) + j
+        mags = np.abs(lu[j:, j])
+        piv_mag, p = mags[0], j
+        for i in range(1, k - j):
+            wins = mags[i] > piv_mag
+            piv_mag, p = np.where(wins, mags[i], piv_mag), np.where(wins, j + i, p)
         for i in range(j + 1, k):
             take = p == i
             if np.any(take):
-                for a in (lu, perm, scale):
-                    a[j], a[i] = np.where(take, a[i], a[j]), np.where(take, a[j], a[i])
-        piv = lu[j, j]
-        bad = np.abs(piv) < SINGULAR_PIVOT_RTOL * scale[j]
+                work[j], work[i] = np.where(take, work[i], work[j]), np.where(take, work[j], work[i])
+        bad = piv_mag < SINGULAR_PIVOT_RTOL * work[j, k].real
         ok &= ~bad
-        safe = np.where(bad, 1.0, piv)
+        safe = np.where(bad, 1.0, lu[j, j])
         if j + 1 < k:
             mult = lu[j + 1 :, j] / safe
             lu[j + 1 :, j] = mult
             lu[j + 1 :, j + 1 :] -= mult[:, None] * lu[j, j + 1 :]
-    return lu, perm, ok
+    return lu, work[:, k + 1].real.astype(np.intp), ok
 
 
-def lu_solve(lu: np.ndarray, perm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve against the bins-last ``(lu, perm)`` of :func:`lu_factor`;
-    ``rhs`` and the result are (K, R, B)."""
+def lu_solve(lu: np.ndarray, perm: np.ndarray, cols: list[int] | range) -> np.ndarray:
+    """Solve against the bins-last ``(lu, perm)`` of :func:`lu_factor` for
+    the unit vectors ``e_c``, ``c`` in ``cols``; returns (K, len(cols), B).
+    The permuted right-hand side is the one-hot ``perm == c``."""
     k = lu.shape[0]
-    x = np.take_along_axis(np.asarray(rhs, dtype=np.complex128), perm[:, None, :], axis=0)
+    x = (perm[:, None, :] == np.asarray(cols)[:, None]).astype(np.complex128)
     for j in range(1, k):
         x[j] -= np.sum(lu[j, :j, None] * x[:j], axis=0)
     for j in range(k - 1, -1, -1):
@@ -120,10 +124,8 @@ def masked_solve_unit(M, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ContractViolationError(f"source index {k} out of range for K={dim}")
     op_counter.solves += nb
     lu, perm, ok = lu_factor(stack)
-    rhs = np.zeros((dim, 1, nb), dtype=np.complex128)
-    rhs[k] = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = lu_solve(lu, perm, rhs)[:, 0]
+        z = lu_solve(lu, perm, [k])[:, 0]
     return np.moveaxis(z, 0, -1).reshape(*batch_shape, dim), ok.reshape(batch_shape)
 
 
@@ -138,9 +140,7 @@ def inverse(M) -> np.ndarray:
         raise SingularMatrixError(
             f"singular matrix in inverse at batch indices {where}", indices=where
         )
-    rhs = np.broadcast_to(np.eye(dim, dtype=np.complex128)[:, :, None], (dim, dim, nb))
-    inv = lu_solve(lu, perm, rhs)
-    return np.moveaxis(inv, -1, 0).reshape(*batch_shape, dim, dim)
+    return np.moveaxis(lu_solve(lu, perm, range(dim)), -1, 0).reshape(*batch_shape, dim, dim)
 
 
 def hermitian_part(m: np.ndarray, axes: tuple[int, int] = (-2, -1)) -> np.ndarray:

@@ -30,6 +30,10 @@ MAX_CONDITION = 10.0
 #: Range (Hz) from which each source envelope's low-pass cut-off is drawn.
 ENVELOPE_BAND_HZ = (2.0, 8.0)
 
+#: The direct path of each echo filter lands on one of its first this many
+#: taps, so a convolutive bank (64 ms long) needs a rate of at least 500 Hz.
+DIRECT_PATH_TAPS = 32
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -58,6 +62,11 @@ class ScenarioConfig:
         _sample_count(self.duration_s, self.sample_rate)
         if self.mixing_mode not in ("instantaneous", "convolutive"):
             raise ContractViolationError(f"unknown mixing mode {self.mixing_mode!r}")
+        if self.mixing_mode == "convolutive" and _fir_len(self.sample_rate) < DIRECT_PATH_TAPS:
+            raise ContractViolationError(
+                f"convolutive mixing needs a {DIRECT_PATH_TAPS}-tap direct-path range, but the "
+                f"64 ms echo bank at {self.sample_rate} Hz has {_fir_len(self.sample_rate)} taps"
+            )
         if (self.move_source is None) != (self.move_time_s is None):
             raise ContractViolationError("move_source and move_time_s must be set together")
         if self.move_time_s is not None and not 0.0 < self.move_time_s < self.duration_s:
@@ -134,15 +143,20 @@ def _sample_mixing_matrix(rng: np.random.Generator, k: int) -> np.ndarray:
     raise ContractViolationError("could not sample a well-conditioned mixing matrix")
 
 
+def _fir_len(sample_rate: int) -> int:
+    """Taps of an echo bank: 64 ms, capped at 1024."""
+    return min(1024, sample_rate * 64 // 1000)
+
+
 def _random_fir_bank(rng: np.random.Generator, k: int, sample_rate: int) -> np.ndarray:
     """Sparse synthetic echoes: 3-5 taps per pair within 64 ms."""
-    max_len = min(1024, sample_rate * 64 // 1000)
+    max_len = _fir_len(sample_rate)
     bank = np.zeros((k, k, max_len))
     for m in range(k):
         for s in range(k):
             n_taps = rng.integers(3, 6)
             delays = np.sort(rng.integers(0, max_len, size=n_taps))
-            delays[0] = rng.integers(0, 32)
+            delays[0] = rng.integers(0, DIRECT_PATH_TAPS)
             gains = rng.uniform(0.1, 0.5, size=n_taps) * np.exp(-delays / (0.25 * max_len))
             gains[0] = rng.uniform(0.7, 1.0) * (1.0 if m == s else rng.choice([-1.0, 1.0]) * 0.7)
             bank[m, s, delays] = gains

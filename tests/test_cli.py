@@ -226,6 +226,12 @@ CONTRACT_VIOLATIONS = {
     ),
     "move_source_not_an_index": ("simulate", "--move-source", "third"),
     "zero_sample_rate": ("simulate", "--sample-rate", "0", "--duration-s", "2"),
+    "echoes_at_10_hz": (
+        "simulate", "--mixing", "echoes", "--sample-rate", "10", "--duration-s", "2",
+    ),
+    "echoes_at_400_hz": (
+        "simulate", "--mixing", "echoes", "--sample-rate", "400", "--duration-s", "2",
+    ),
     "nan_duration": ("simulate", "--duration-s", "nan", "--move-source", "none"),
     "infinite_duration": ("simulate", "--duration-s", "inf", "--move-source", "none"),
     "duration_below_one_sample": ("simulate", "--duration-s", "1e-5"),

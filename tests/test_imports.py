@@ -1,8 +1,11 @@
 """Module boundaries: no module of the package imports a sibling's private
-name, so each kernel keeps one implementation behind one public name; and
-``import ivastream`` loads no heavy module that only some paths need."""
+name, so each kernel keeps one implementation behind one public name;
+``import ivastream`` loads no heavy module that only some paths need; and
+every name the benchmark's tracer (``perfbench/tracing.py``) wraps exists."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -11,6 +14,7 @@ from pathlib import Path
 import ivastream
 
 PACKAGE = Path(ivastream.__file__).parent
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def private_imports(path: Path):
@@ -42,3 +46,19 @@ def test_import_leaves_out_scipy_signal_and_optimize():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_every_traced_benchmark_name_resolves():
+    # the traced benchmark wraps these attributes by name; a renamed or
+    # deleted kernel would fail it with an AttributeError
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for mod_name, attr in tracing.TRACED:
+        owner = importlib.import_module(f"ivastream.{mod_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{mod_name}.{attr}")
+    assert not missing, missing

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivastream.errors import ContractViolationError, SingularMatrixError
+from ivastream.separator import OnlineAuxIva, OnlineConfig
 from ivastream.linalg import (
     SINGULAR_PIVOT_RTOL,
     inverse,
@@ -117,10 +118,21 @@ class TestOpCounter:
         assert op_counter.solves == op_counter.inversions == 0
 
 
+#: Kinds of test matrix; ``lattice`` and ``ties`` have exact pivot ties,
+#: ``no_swap`` pivots on the diagonal at every step, and
+#: ``swap_every_step`` swaps rows j and j+1 at every step j < k-1.
+KINDS = ["random", "lattice", "zero_row", "duplicate_row", "ties", "no_swap", "swap_every_step"]
+
+
 def _matrix_of_kind(rng, kind: str, k: int) -> np.ndarray:
-    """One (k, k) test matrix; the lattice kind has exact pivot ties."""
+    """One (k, k) test matrix of one of the :data:`KINDS`."""
     if kind == "lattice":
         return (rng.integers(-1, 2, (k, k)) + 1j * rng.integers(-1, 2, (k, k))).astype(complex)
+    if kind == "ties":  # every entry of magnitude 1
+        return np.array([1, 1j, -1, -1j])[rng.integers(0, 4, (k, k))]
+    if kind in ("no_swap", "swap_every_step"):
+        m = 10.0 * np.eye(k) + 0.1 * random_complex(rng, k, k)
+        return m if kind == "no_swap" else np.roll(m, 1, axis=0)
     m = random_complex(rng, k, k)
     if kind == "zero_row":
         m[rng.integers(k)] = 0.0
@@ -130,27 +142,31 @@ def _matrix_of_kind(rng, kind: str, k: int) -> np.ndarray:
     return m
 
 
+def _factor_matches_reference(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factor the (B, k, k) stack ``m`` and check it against the
+    per-matrix reference: ``perm`` and ``ok`` exactly, ``lu`` to 1e-12.
+    Returns ``(perm, ok)`` with the batch axis first."""
+    lu, perm, ok = lu_factor(np.moveaxis(m, 0, -1))
+    lu, perm = np.moveaxis(lu, -1, 0), perm.T
+    refs = [lu_reference(mat, SINGULAR_PIVOT_RTOL) for mat in m]
+    assert np.array_equal(perm, [r[1] for r in refs])
+    assert np.array_equal(ok, [r[2] for r in refs])
+    ref_lu = np.stack([r[0] for r in refs])
+    np.testing.assert_allclose(lu, ref_lu, rtol=0, atol=1e-12 * max(np.max(np.abs(ref_lu)), 1.0))
+    return perm, ok
+
+
 class TestLuAgainstOracle:
     @settings(max_examples=60, deadline=None)
     @given(
         k=st.integers(1, 8),
-        kinds=st.lists(
-            st.sampled_from(["random", "lattice", "zero_row", "duplicate_row"]),
-            min_size=1, max_size=16,
-        ),
+        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=16),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_per_matrix_reference(self, k, kinds, seed):
         rng = np.random.default_rng(seed)
         m = np.stack([_matrix_of_kind(rng, kind, k) for kind in kinds])
-        lu, perm, ok = lu_factor(np.moveaxis(m, 0, -1))
-        lu, perm = np.moveaxis(lu, -1, 0), perm.T
-        refs = [lu_reference(mat, SINGULAR_PIVOT_RTOL) for mat in m]
-        ref_ok = np.array([r[2] for r in refs])
-        assert np.array_equal(perm, [r[1] for r in refs])
-        assert np.array_equal(ok, ref_ok)
-        ref_lu = np.stack([r[0] for r in refs])
-        np.testing.assert_allclose(lu, ref_lu, rtol=0, atol=1e-12 * max(np.max(np.abs(ref_lu)), 1.0))
+        _, ok = _factor_matches_reference(m)
 
         e = np.eye(k)
         for b in np.flatnonzero(ok):
@@ -164,9 +180,63 @@ class TestLuAgainstOracle:
                 assert np.max(np.abs(z - ref_z)) <= 1e-12 * np.max(np.abs(ref_z))
 
         _, solve_ok = masked_solve_unit(m, k - 1)
-        assert np.array_equal(np.flatnonzero(~solve_ok), np.flatnonzero(~ref_ok))
+        assert np.array_equal(np.flatnonzero(~solve_ok), np.flatnonzero(~ok))
         bad = tuple(int(b) for b in np.flatnonzero(~ok)[:16])
         if bad:
             with pytest.raises(SingularMatrixError) as excinfo:
                 inverse(m)
             assert excinfo.value.indices == bad
+
+
+class TestLuShortcuts:
+    """The factor skips the swap of a candidate row that no bin pivots on,
+    so stacks in which some, all or none of the bins swap at a step must
+    all match the per-matrix reference."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    def test_mixed_stack(self, rng, k):
+        kinds = ["no_swap", "swap_every_step", "ties", "lattice"] * 3
+        m = np.stack([_matrix_of_kind(rng, kind, k) for kind in kinds])
+        perm, _ = _factor_matches_reference(m)
+        for b, kind in enumerate(kinds):
+            if kind == "no_swap":
+                assert np.array_equal(perm[b], np.arange(k))
+            elif kind == "swap_every_step":
+                assert np.array_equal(perm[b], np.roll(np.arange(k), -1))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_uniform_stack(self, rng, kind, k):
+        _factor_matches_reference(np.stack([_matrix_of_kind(rng, kind, k) for _ in range(6)]))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    def test_single_bin(self, rng, kind, k):
+        _factor_matches_reference(_matrix_of_kind(rng, kind, k)[None])
+
+
+class TestLayoutAndInputSafety:
+    def test_factor_leaves_input_unchanged(self, rng):
+        m = np.moveaxis(random_complex(rng, 9, 4, 4), 0, -1)
+        before = m.copy()
+        lu_factor(m)
+        assert m.tobytes() == before.tobytes()
+
+    @pytest.fixture
+    def engine_demix(self, rng):
+        engine = OnlineAuxIva(33, 3, OnlineConfig(method="ip"))
+        for _ in range(8):
+            engine.process_frame(random_complex(rng, 33, 3))
+        assert not engine.demix.flags.c_contiguous
+        return engine.demix
+
+    def test_inverse_of_engine_view_matches_contiguous_copy(self, engine_demix):
+        expected = inverse(np.ascontiguousarray(engine_demix))
+        assert inverse(engine_demix).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_solve_on_engine_view_matches_contiguous_copy(self, engine_demix, k):
+        z, ok = masked_solve_unit(engine_demix, k)
+        z_ref, ok_ref = masked_solve_unit(np.ascontiguousarray(engine_demix), k)
+        assert z.tobytes() == z_ref.tobytes()
+        assert np.array_equal(ok, ok_ref)

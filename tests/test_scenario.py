@@ -120,6 +120,14 @@ class TestConvolutiveMix:
         taps = (np.abs(bank) > 0).sum(axis=2)
         assert taps.min() >= 3 and taps.max() <= 5
 
+    def test_lowest_echo_rate_builds(self):
+        # at 500 Hz the 64 ms bank is exactly the 32-tap direct-path range
+        cfg = ScenarioConfig(n_src=3, duration_s=2.0, sample_rate=500, seed=1,
+                             mixing_mode="convolutive", move_source=2, move_time_s=1.0)
+        truth = build(cfg)
+        assert truth.mixing_pre.shape == truth.mixing_post.shape == (3, 3, 32)
+        assert np.all(np.isfinite(truth.mixtures))
+
 
 class TestConfigValidation:
     def test_move_outside_duration_rejected(self):
@@ -136,6 +144,12 @@ class TestConfigValidation:
             ScenarioConfig(duration_s=duration_s)
         with pytest.raises(ContractViolationError):
             synth_sources(2, duration_s)
+
+    @pytest.mark.parametrize("sample_rate", [10, 100, 400, 499])
+    def test_echo_bank_shorter_than_direct_path_rejected(self, sample_rate):
+        with pytest.raises(ContractViolationError, match="direct-path"):
+            ScenarioConfig(sample_rate=sample_rate, mixing_mode="convolutive")
+        ScenarioConfig(sample_rate=sample_rate)  # instantaneous mixing has no bank
 
     def test_one_sample_scene(self):
         truth = build(ScenarioConfig(n_src=2, duration_s=1 / 16000))
