@@ -25,7 +25,7 @@ from scipy.io import wavfile
 from . import metrics, scenario
 from .errors import ContractViolationError
 from .scenario import ScenarioConfig
-from .separator import CONTRASTS, OnlineAuxIva, OnlineConfig, UpdateSchedule
+from .separator import CONTRASTS, OnlineAuxIva, OnlineConfig, UpdateSchedule, project_back
 from .stft import Spectrogram, StftConfig, analyze, synthesize
 
 
@@ -155,37 +155,40 @@ def _run_pipeline(
     switch_frame: int | None = None,
     at_switch=None,
 ):
-    """analyze -> :meth:`OnlineAuxIva.separate` -> synthesize, with an info dict.
+    """The package's one frame loop, with an info dict: analyze, then per
+    frame :meth:`OnlineAuxIva.process_frame` and :func:`project_back`, then
+    synthesize.
 
-    When ``switch_frame`` (1-based) falls within the stream, the engine
-    first separates the frames before it; ``at_switch`` receives their
-    synthesised estimates, untimed, and the same engine then continues
-    the stream with the rest.
+    When ``switch_frame`` (1-based) falls within the stream, ``at_switch``
+    receives the synthesised estimates of the frames before it, untimed,
+    just before the engine processes that frame.
     """
     n_src, n_samples = mixtures.shape
     tic = time.perf_counter()
     spec = analyze(mixtures, stft_cfg)
     stft_s = time.perf_counter() - tic
     engine = OnlineAuxIva(spec.n_bins, n_src, online_cfg)
-    n_frames = spec.n_frames
-    split = n_frames if switch_frame is None else min(switch_frame - 1, n_frames)
-    separated, timing = engine.separate(spec.data[:, :split, :])
-    update_s, project_s = timing["update_loop_s"], timing["projection_s"]
-    if split < n_frames:
-        at_switch(synthesize(separated, stft_cfg))
-        rest, timing = engine.separate(spec.data[:, split:, :])
-        separated = Spectrogram(np.concatenate([separated.data, rest.data], axis=1))
-        update_s += timing["update_loop_s"]
-        project_s += timing["projection_s"]
+    out = np.empty_like(spec.data)
+    update_s = project_s = 0.0
+    for t in range(spec.n_frames):
+        if t + 1 == switch_frame:
+            at_switch(synthesize(Spectrogram(out[:, :t]), stft_cfg))
+        tic = time.perf_counter()
+        y = engine.process_frame(spec.data[:, t, :].T)
+        toc = time.perf_counter()
+        y = project_back(engine.demix, y)
+        update_s += toc - tic
+        project_s += time.perf_counter() - toc
+        out[:, t, :] = y.T
     tic = time.perf_counter()
-    estimates = synthesize(separated, stft_cfg, n_samples=n_samples)
+    estimates = synthesize(Spectrogram(out), stft_cfg, n_samples=n_samples)
     stft_s += time.perf_counter() - tic
     info = {
         "update_loop_s": update_s,
         "projection_s": project_s,
         "stft_s": stft_s,
         "total_s": update_s + project_s + stft_s,
-        "frames": n_frames,
+        "frames": spec.n_frames,
         "degenerate_updates": engine.diagnostics.counts,
     }
     return estimates, info
@@ -201,12 +204,13 @@ def run_moving_experiment(
 
     ``mode`` is ``"all"`` (update every source throughout) or ``"one"``
     (update every source until the move, then only the output channel that
-    was tracking the moving source).  The channel is decided at the switch
-    frame from the estimates streamed so far, scored against the known
-    ground truth; everything before the switch is identical between the
-    two modes, and a switch past the last frame decides nothing.  Returns
-    ``(estimates, info)`` with the update-loop timing free of the one-off
-    channel decision.
+    was tracking the moving source).  The frame loop decides the channel
+    just before the switch frame, scoring the estimates streamed so far
+    against the known ground truth; that needs at least one hop of them,
+    so the move must come at sample ``stft_cfg.frame_len`` or later.
+    Everything before the switch is identical between the two modes, and a
+    switch past the last frame decides nothing.  Returns ``(estimates,
+    info)`` with the update-loop timing free of the one-off decision.
     """
     if mode not in ("all", "one"):
         raise ContractViolationError(f"mode must be 'all' or 'one', got {mode!r}")
@@ -215,6 +219,11 @@ def run_moving_experiment(
     if mode == "one":
         if truth.move_sample is None:
             raise ContractViolationError("mode 'one' needs a scenario with a move")
+        if truth.move_sample < stft_cfg.frame_len:
+            raise ContractViolationError(
+                f"mode 'one' needs the move at sample {stft_cfg.frame_len} (frame_len) or "
+                f"later, to decide the moving channel; it is at sample {truth.move_sample}"
+            )
         switch_frame = truth.move_sample // stft_cfg.hop + 1
         everyone = tuple(range(truth.mixtures.shape[0]))
 

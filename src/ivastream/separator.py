@@ -23,7 +23,7 @@ Notes on conventions:
 * Source and frequency indices are 0-based throughout the Python API.
 * On a degenerate update (singular solve, nonpositive quadratic form,
   vanishing ``1 - v_k``) the affected bins keep their previous demixing
-  rows and the event is recorded in :class:`DiagnosticsLog`; a streaming
+  rows and :class:`DiagnosticsLog` counts them by kind; a streaming
   system must not halt on a transiently bad bin.
 * The ISS path performs no linear solves or inversions; back-projection
   (the only inversion user) lives outside :meth:`OnlineAuxIva.process_frame`.
@@ -36,7 +36,9 @@ Notes on conventions:
   :func:`ip_update_row`, which raise where the engine freezes and logs.
 * The source prior is named once per stream, by ``OnlineConfig.contrast``;
   the engine builds its :class:`ContrastModel` with its own bin count F.
-* :meth:`OnlineAuxIva.separate` is the package's one frame loop.
+* The engine takes one (F, K) spectral frame at a time and does not
+  depend on the STFT front end; the package's one frame loop, behind
+  ``cli.run_separation``, feeds it and back-projects each output frame.
 
 Storage layout: the engine keeps its state **bins-last**, W as a
 C-contiguous (K, K, F) array and U as (K, K, K, F), so every per-bin
@@ -49,7 +51,6 @@ entry, which costs no copy for the engine's own views.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -57,7 +58,6 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractViolationError, DegenerateUpdateError
-from .stft import Spectrogram
 
 #: Denominator floor for the ISS coefficient ratios.
 DENOMINATOR_FLOOR = 1e-32
@@ -67,9 +67,6 @@ ISS_DIAGONAL_FLOOR = 1e-12
 
 #: Diagonal loading of the initial covariances (identity times this).
 INIT_COVARIANCE_SCALE = 1e-3
-
-#: :class:`DiagnosticsLog` keeps this many events, then only counts.
-MAX_EVENTS = 10000
 
 #: Activity floor: both contrast weights diverge at r = 0.
 R_FLOOR = 1e-8
@@ -220,16 +217,12 @@ class FlopCounter:
 
 @dataclass
 class DiagnosticsLog:
-    """Freeze-and-log record of degenerate per-bin updates."""
+    """Freeze-and-log record: degenerate per-bin updates, counted by kind."""
 
-    events: list = field(default_factory=list)
     counts: dict = field(default_factory=dict)
 
-    def record(self, kind: str, t: int, k: int, bins: np.ndarray) -> None:
-        self.counts[kind] = self.counts.get(kind, 0) + int(bins.size)
-        room = MAX_EVENTS - len(self.events)
-        for f in bins[:room]:
-            self.events.append({"kind": kind, "t": int(t), "f": int(f), "k": int(k)})
+    def record(self, kind: str, n_bins: int) -> None:
+        self.counts[kind] = self.counts.get(kind, 0) + int(n_bins)
 
     @property
     def total(self) -> int:
@@ -419,19 +412,19 @@ class OnlineAuxIva:
 
     # -- demixing updates, whole-array over bins ---------------------------
 
-    def _iss_step(self, k: int, t: int) -> None:
+    def _iss_step(self, k: int) -> None:
         v, ok = _masked_iss_vector(self._W, self._U_next, k)
         if not np.all(ok):  # degenerate bins keep their rows
-            self.diagnostics.record("iss_degenerate", t, k, np.flatnonzero(~ok))
+            self.diagnostics.record("iss_degenerate", np.count_nonzero(~ok))
         _iss_apply(self._W, v, k, ok)
         self.flops.iss_coefficients += FlopCounter.iss_coefficient_flops(self.n_src, self.n_bins)
         self.flops.iss_apply += FlopCounter.iss_apply_flops(self.n_src, self.n_bins)
 
-    def _ip_step(self, k: int, t: int) -> None:
+    def _ip_step(self, k: int) -> None:
         z, ok = _masked_ip_vector(self._W, self._U_next[k], k)
         self._W[k] = np.where(ok, np.conj(z), self._W[k])
         if not np.all(ok):  # degenerate bins keep their rows
-            self.diagnostics.record("ip_degenerate", t, k, np.flatnonzero(~ok))
+            self.diagnostics.record("ip_degenerate", np.count_nonzero(~ok))
         self.flops.ip_update += FlopCounter.ip_update_flops(self.n_src, self.n_bins)
 
     # -- public streaming API ----------------------------------------------
@@ -471,35 +464,6 @@ class OnlineAuxIva:
             self._U_next += decayed
             self.flops.covariance += k * FlopCounter.covariance_flops(k, f)
             for idx in indices:
-                self._step(idx, t)
+                self._step(idx)
         self._U, self._U_next = self._U_next, self._U
         return _demix(self._W, x).T
-
-    def separate(self, spectrogram):
-        """Stream a (K, T, F) spectrogram through the engine, frame by frame.
-
-        The engine keeps its state, so calling ``separate`` again on the
-        next frames continues the stream, bit for bit.
-
-        Returns ``(separated Spectrogram, timing dict)``.  Timing separates
-        the update loop (everything inside :meth:`process_frame`) from
-        back-projection, which is the only step that inverts matrices.
-        """
-        data = spectrogram.data if isinstance(spectrogram, Spectrogram) else np.asarray(spectrogram)
-        if data.ndim != 3 or data.shape[0] != self.n_src or data.shape[2] != self.n_bins:
-            raise ContractViolationError(
-                f"expected (K={self.n_src}, T, F={self.n_bins}) spectrogram, got {data.shape}"
-            )
-        out = np.empty_like(data)
-        update_s = 0.0
-        project_s = 0.0
-        for t in range(data.shape[1]):
-            x = data[:, t, :].T
-            tic = time.perf_counter()
-            y = self.process_frame(x)
-            update_s += time.perf_counter() - tic
-            tic = time.perf_counter()
-            y = project_back(self.demix, y)
-            project_s += time.perf_counter() - tic
-            out[:, t, :] = y.T
-        return Spectrogram(out), {"update_loop_s": update_s, "projection_s": project_s}

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, file formats, exit codes."""
 
 import csv
+import importlib.util
 import json
 import re
 import shlex
@@ -11,10 +12,11 @@ import pytest
 from scipy.io import wavfile
 
 from ivastream.cli import build_parser, main, parse_selector, read_wav, write_wav
-from ivastream.cli import UsageError, run_separation
+from ivastream import OnlineAuxIva, analyze, project_back, synthesize
+from ivastream.cli import UsageError, run_moving_experiment, run_separation
 from ivastream.scenario import ScenarioConfig, build
 from ivastream.separator import OnlineConfig, UpdateSchedule
-from ivastream.stft import StftConfig
+from ivastream.stft import Spectrogram, StftConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -297,6 +299,96 @@ class TestMovingExperiment:
         truth = build(ScenarioConfig(n_src=2, duration_s=1.0, seed=0))
         with pytest.raises(ContractViolationError):
             run_moving_experiment(truth, StftConfig(), "iss", "one")
+
+    @pytest.mark.parametrize("move_sample", [600, 1023])
+    def test_move_before_frame_len_is_named(self, move_sample):
+        # the decision needs at least one hop of estimates before the switch
+        from dataclasses import replace
+
+        from ivastream.errors import ContractViolationError
+
+        truth = build(ScenarioConfig(n_src=2, duration_s=1.0, seed=2,
+                                     move_source=1, move_time_s=0.5))
+        truth = replace(truth, move_sample=move_sample)
+        with pytest.raises(ContractViolationError,
+                           match=f"sample 1024 .*it is at sample {move_sample}$"):
+            run_moving_experiment(truth, StftConfig(), "iss", "one")
+
+    def test_move_at_frame_len_decides_a_channel(self):
+        from dataclasses import replace
+
+        truth = build(ScenarioConfig(n_src=2, duration_s=1.0, seed=2,
+                                     move_source=1, move_time_s=0.5))
+        truth = replace(truth, move_sample=StftConfig().frame_len)
+        _, info = run_moving_experiment(truth, StftConfig(), "iss", "one")
+        assert info["moving_channel"] in (0, 1)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def moving_scene():
+    return build(ScenarioConfig(n_src=3, duration_s=3.0, seed=3, move_source=2, move_time_s=1.5))
+
+
+class TestPipeline:
+    """The pipeline behind ``separate`` and ``demo`` is the README's frame
+    loop, bit for bit, and so is the benchmark's chain."""
+
+    @pytest.mark.parametrize("method", ["iss", "ip"])
+    def test_run_separation_is_the_readme_loop(self, moving_scene, method):
+        # update_period=2 makes every second frame a skip frame
+        mixture, stft_cfg = moving_scene.mixtures, StftConfig()
+        online_cfg = OnlineConfig(method=method, update_period=2)
+        spec = analyze(mixture, stft_cfg)
+        engine = OnlineAuxIva(spec.n_bins, 3, online_cfg)
+        out = np.empty_like(spec.data)
+        for t in range(spec.n_frames):
+            y = engine.process_frame(spec.data[:, t, :].T)
+            out[:, t, :] = project_back(engine.demix, y).T
+        expected = synthesize(Spectrogram(out), stft_cfg, n_samples=mixture.shape[1])
+        estimates, info = run_separation(mixture, stft_cfg, online_cfg)
+        assert np.array_equal(estimates, expected)
+        assert info["frames"] == spec.n_frames
+
+    @pytest.mark.parametrize("method", ["iss", "ip"])
+    def test_mode_one_is_a_switch_schedule(self, moving_scene, method):
+        stft_cfg = StftConfig()
+        estimates, info = run_moving_experiment(moving_scene, stft_cfg, method, "one")
+        switch_frame = moving_scene.move_sample // stft_cfg.hop + 1
+        schedule = UpdateSchedule.switch_to(3, info["moving_channel"], switch_frame)
+        expected, _ = run_separation(
+            moving_scene.mixtures, stft_cfg, OnlineConfig(method=method, selector=schedule)
+        )
+        assert np.array_equal(estimates, expected)
+
+    def test_benchmark_chain_is_the_pipeline(self, moving_scene, tmp_path, monkeypatch):
+        # perfbench/run.py is not imported: it sets BLAS thread variables
+        # at import time
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        spec = importlib.util.spec_from_file_location("perfbench_chain", PERFBENCH / "chain.py")
+        chain = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(chain)
+        truth = moving_scene
+        write_wav(tmp_path / "mixture.wav", truth.sample_rate, truth.mixtures)
+        for k in range(3):
+            write_wav(tmp_path / f"image_mic1_{k + 1}.wav", truth.sample_rate, truth.images_mic1[k])
+        (tmp_path / "scene.json").write_text(json.dumps({
+            "n_src": 3, "sample_rate": truth.sample_rate,
+            "move_source": truth.move_source, "move_sample": truth.move_sample,
+        }))
+        oracle = chain.load_oracle(tmp_path)
+        stft_cfg = StftConfig(sample_rate=truth.sample_rate)
+
+        ours, record = chain.run_chain(tmp_path / "mixture.wav", "iss", oracle)
+        theirs, info = run_moving_experiment(oracle, stft_cfg, "iss", "one")
+        assert np.array_equal(ours, theirs)
+        assert record["moving_channel"] == info["moving_channel"] is not None
+
+        ours, _ = chain.run_chain(tmp_path / "mixture.wav", "ip")
+        theirs, _ = run_separation(oracle.mixtures, stft_cfg, OnlineConfig(method="ip"))
+        assert np.array_equal(ours, theirs)
 
 
 @pytest.fixture(scope="module")
