@@ -8,7 +8,7 @@ scenarios and segmental SI-SDR evaluation for end-to-end experiments.
 """
 
 from .batch import BatchProblem, BatchResult, batch_auxiva, batch_weighted_covariance, cost
-from .errors import ContractViolationError, DegenerateUpdateError, SingularMatrixError
+from .errors import ContractViolationError, DegenerateUpdateError
 from .metrics import (
     SdrImprovementReport,
     SegmentedSdr,
@@ -48,7 +48,6 @@ __all__ = [
     "ScenarioConfig",
     "SdrImprovementReport",
     "SegmentedSdr",
-    "SingularMatrixError",
     "Spectrogram",
     "StftConfig",
     "UpdateSchedule",

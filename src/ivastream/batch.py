@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ContractViolationError
+from .errors import ContractViolationError, DegenerateUpdateError, check_bins
 from .separator import R_FLOOR, ContrastModel, ip_update_row, iss_apply, iss_vector
 from .stft import Spectrogram
 
@@ -74,16 +74,13 @@ def cost(W: np.ndarray, spec: Spectrogram, contrast: str = "laplace") -> float:
     """Negative log-likelihood ``sum_k mean_t G(r_kt) - 2 sum_f log|det W_f|``.
 
     For the gauss model the value is reported up to an additive constant.
+    Raises :class:`DegenerateUpdateError` naming the bins where W is singular.
     """
     model = ContrastModel(contrast, spec.n_bins)
     r = _activities(_demix(W, _to_ftk(spec)))
     data_term = float(np.sum(np.mean(model.contrast(r), axis=0)))
     sign, logdet = np.linalg.slogdet(W)
-    if np.any(sign == 0):
-        bad = tuple(int(b) for b in np.flatnonzero(sign == 0)[:16])
-        raise linalg.SingularMatrixError(
-            f"singular demixing matrix at bins {bad}", indices=bad
-        )
+    check_bins(sign != 0, "singular demixing matrix")
     return data_term - 2.0 * float(np.sum(logdet))
 
 
@@ -133,7 +130,9 @@ def batch_auxiva(problem: BatchProblem, method: str = "iss") -> BatchResult:
     """Run ``n_iter`` full sweeps of batch AuxIVA.
 
     ``method`` is one of ``"ip"``, ``"iss"``, ``"iss_inplace"``.  The cost
-    trace holds the initial cost followed by the cost after each sweep.
+    trace holds the initial cost followed by the cost after each sweep.  A
+    :class:`DegenerateUpdateError` keeps its ``indices``, and its message
+    gains a ``sweep <n>: `` prefix.
     """
     if method not in ("ip", "iss", "iss_inplace"):
         raise ContractViolationError(f"unknown batch method {method!r}")
@@ -156,9 +155,7 @@ def batch_auxiva(problem: BatchProblem, method: str = "iss") -> BatchResult:
                 W = _sweep_iss(X, W, model)
             else:
                 Y, W = _sweep_iss_inplace(Y, W)
-        except RuntimeError as exc:
-            # prefix the message in place: the error keeps its type and its
-            # context/indices attributes
+        except DegenerateUpdateError as exc:
             exc.args = (f"sweep {sweep + 1}: {exc}",)
             raise
         trace.append(cost(W, spec, problem.contrast))

@@ -3,10 +3,10 @@
 ``run_separation`` and ``run_moving_experiment`` are the experiment
 pipeline behind ``separate`` and ``demo``, reusable from Python.
 
-Exit codes: 0 on success; 2 on every ``ContractViolationError``, which
-covers usage errors (bad flags, a missing, malformed or incomplete
-manifest, unusable input files) and every precondition a config object or
-kernel checks; 1 on runtime failures (``RuntimeError``, ``OSError``).
+Exit codes: 0 on success; 2 on every ``ContractViolationError`` (bad flags,
+a missing, malformed or incomplete manifest, input WAVs that do not match
+it, and every precondition a config object or kernel checks); 1 on a
+``DegenerateUpdateError`` (an unusable per-bin matrix) or an ``OSError``.
 Engine, STFT and scenario flags take their defaults from ``OnlineConfig``,
 ``StftConfig`` and ``ScenarioConfig``; a scenario is set by flags only.
 """
@@ -23,15 +23,10 @@ import numpy as np
 from scipy.io import wavfile
 
 from . import metrics, scenario
-from .errors import ContractViolationError
+from .errors import ContractViolationError, DegenerateUpdateError
 from .scenario import ScenarioConfig
 from .separator import CONTRASTS, OnlineAuxIva, OnlineConfig, UpdateSchedule, project_back
 from .stft import Spectrogram, StftConfig, analyze, synthesize
-
-
-class UsageError(ContractViolationError):
-    """Invalid invocation or unusable input; like every contract violation,
-    mapped to exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +39,7 @@ def read_wav(path) -> tuple[int, np.ndarray]:
     try:
         rate, data = wavfile.read(path)
     except (ValueError, FileNotFoundError, OSError) as exc:
-        raise UsageError(f"cannot read WAV file {path}: {exc}") from exc
+        raise ContractViolationError(f"cannot read WAV file {path}: {exc}") from exc
     if data.dtype == np.int16:
         data = data.astype(np.float64) / 32768.0
     elif data.dtype == np.int32:
@@ -58,6 +53,17 @@ def read_wav(path) -> tuple[int, np.ndarray]:
     else:
         data = data.T
     return rate, data
+
+
+def _read_matching(path, rate: int, channels: int, n_samples: int | None = None) -> np.ndarray:
+    """Read a WAV as (K, N) that must have the manifest's ``rate`` and
+    ``channels`` and, if given, ``n_samples``; a mismatch names the file."""
+    file_rate, data = read_wav(path)
+    got = (file_rate, *data.shape)
+    want = (rate, channels, data.shape[1] if n_samples is None else n_samples)
+    if got != want:
+        raise ContractViolationError(f"{path} has (rate, channels, samples) {got}, expected {want}")
+    return data
 
 
 def write_wav(path, rate: int, data: np.ndarray) -> None:
@@ -80,7 +86,7 @@ def _read_manifest(path) -> dict:
         with open(path) as fh:
             manifest = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read manifest {path}: {exc}") from exc
+        raise ContractViolationError(f"cannot read manifest {path}: {exc}") from exc
     keys = _MANIFEST_KEYS
     if isinstance(manifest, dict) and manifest.get("move"):
         keys += ("move.source", "move.sample")
@@ -88,7 +94,7 @@ def _read_manifest(path) -> dict:
         node = manifest
         for part in key.split("."):
             if not isinstance(node, dict) or part not in node:
-                raise UsageError(f"manifest {path} has no key {key!r}")
+                raise ContractViolationError(f"manifest {path} has no key {key!r}")
             node = node[part]
     return manifest
 
@@ -100,28 +106,28 @@ def parse_selector(text: str, n_src: int, switch_sample_hint, stft_cfg: StftConf
         return UpdateSchedule.all_sources(n_src)
     parts = text.split(":")
     if len(parts) != 3 or parts[0] != "one":
-        raise UsageError(f"selector must be 'all' or 'one:<k>:<switch>', got {text!r}")
+        raise ContractViolationError(f"selector must be 'all' or 'one:<k>:<switch>', got {text!r}")
     try:
         k = int(parts[1])
     except ValueError as exc:
-        raise UsageError(f"selector source index must be an integer, got {parts[1]!r}") from exc
+        raise ContractViolationError(f"selector source index must be an integer, got {parts[1]!r}") from exc
     if not 1 <= k <= n_src:
-        raise UsageError(f"selector source index {k} out of range 1..{n_src}")
+        raise ContractViolationError(f"selector source index {k} out of range 1..{n_src}")
     spec = parts[2]
     if spec == "auto":
         if switch_sample_hint is None:
-            raise UsageError("selector switch 'auto' needs a scenario with a move")
+            raise ContractViolationError("selector switch 'auto' needs a scenario with a move")
         switch_frame = int(switch_sample_hint) // stft_cfg.hop + 1
     elif spec.endswith("s"):
         try:  # int() raises on a NaN or infinite time
             switch_frame = int(float(spec[:-1]) * stft_cfg.sample_rate) // stft_cfg.hop + 1
         except (ValueError, OverflowError) as exc:
-            raise UsageError(f"bad selector switch time {spec!r}") from exc
+            raise ContractViolationError(f"bad selector switch time {spec!r}") from exc
     else:
         try:
             switch_frame = int(spec)
         except ValueError as exc:
-            raise UsageError(f"bad selector switch frame {spec!r}") from exc
+            raise ContractViolationError(f"bad selector switch frame {spec!r}") from exc
     return UpdateSchedule.switch_to(n_src, k - 1, switch_frame)
 
 
@@ -194,6 +200,17 @@ def _run_pipeline(
     return estimates, info
 
 
+def _check_decidable_move(move_sample: int | None, stft_cfg: StftConfig) -> None:
+    # mode 'one' decides its channel from at least one hop of estimates
+    if move_sample is None:
+        raise ContractViolationError("mode 'one' needs a scenario with a move")
+    if move_sample < stft_cfg.frame_len:
+        raise ContractViolationError(
+            f"mode 'one' needs the move at sample {stft_cfg.frame_len} (frame_len) or "
+            f"later, to decide the moving channel; it is at sample {move_sample}"
+        )
+
+
 def run_moving_experiment(
     truth: scenario.GroundTruth,
     stft_cfg: StftConfig,
@@ -217,13 +234,7 @@ def run_moving_experiment(
     chosen: dict[str, int] = {}
     switch_frame = selector = None
     if mode == "one":
-        if truth.move_sample is None:
-            raise ContractViolationError("mode 'one' needs a scenario with a move")
-        if truth.move_sample < stft_cfg.frame_len:
-            raise ContractViolationError(
-                f"mode 'one' needs the move at sample {stft_cfg.frame_len} (frame_len) or "
-                f"later, to decide the moving channel; it is at sample {truth.move_sample}"
-            )
+        _check_decidable_move(truth.move_sample, stft_cfg)
         switch_frame = truth.move_sample // stft_cfg.hop + 1
         everyone = tuple(range(truth.mixtures.shape[0]))
 
@@ -261,9 +272,9 @@ def _scenario_from_args(args) -> ScenarioConfig:
     try:
         move_source = None if move_raw.lower() in ("none", "0", "") else int(move_raw)
     except ValueError as exc:
-        raise UsageError(f"move_source must be a 1-based index or 'none', got {move_raw!r}") from exc
+        raise ContractViolationError(f"move_source must be a 1-based index or 'none', got {move_raw!r}") from exc
     if move_source is not None and not 1 <= move_source <= args.sources:
-        raise UsageError(f"move_source {move_source} out of range 1..{args.sources}")
+        raise ContractViolationError(f"move_source {move_source} out of range 1..{args.sources}")
     move_time_s = args.duration_s / 2.0 if args.move_time_s is None else args.move_time_s
     return ScenarioConfig(
         n_src=args.sources,
@@ -331,18 +342,17 @@ def _online_config_from_args(args, n_src: int, stft_cfg: StftConfig, switch_hint
 
 
 def cmd_separate(args) -> int:
-    rate, mixtures = read_wav(args.mixture)
-    stft_cfg = StftConfig(frame_len=args.frame_len, sample_rate=rate)
-    n_src = mixtures.shape[0]
     switch_hint = None
     if args.manifest:
         manifest = _read_manifest(args.manifest)
-        if manifest["n_src"] != n_src:
-            raise UsageError(
-                f"manifest has {manifest['n_src']} channels but input has {n_src}"
-            )
+        rate = manifest["sample_rate"]
+        mixtures = _read_matching(args.mixture, rate, manifest["n_src"])
         if manifest["move"]:
             switch_hint = manifest["move"]["sample"]
+    else:
+        rate, mixtures = read_wav(args.mixture)
+    stft_cfg = StftConfig(frame_len=args.frame_len, sample_rate=rate)
+    n_src = mixtures.shape[0]
     online_cfg = _online_config_from_args(args, n_src, stft_cfg, switch_hint)
     estimates, info = run_separation(mixtures, stft_cfg, online_cfg)
     out_dir = Path(args.output_dir)
@@ -370,13 +380,11 @@ def cmd_separate(args) -> int:
 
 def _load_truth_for_eval(manifest_path) -> tuple[dict, scenario.GroundTruth]:
     manifest = _read_manifest(manifest_path)
-    base = Path(manifest_path).parent
-    _, mixtures = read_wav(base / manifest["files"]["mixture"])
-    images = []
-    for name in manifest["files"]["images_mic1"]:
-        _, img = read_wav(base / name)
-        images.append(img[0])
-    images_mic1 = np.stack(images)
+    base, rate = Path(manifest_path).parent, manifest["sample_rate"]
+    mixtures = _read_matching(base / manifest["files"]["mixture"], rate, manifest["n_src"])
+    images_mic1 = np.concatenate(
+        [_read_matching(base / name, rate, 1, mixtures.shape[1]) for name in manifest["files"]["images_mic1"]]
+    )
     truth = scenario.GroundTruth(
         sources=images_mic1,
         mixtures=mixtures,
@@ -389,26 +397,16 @@ def _load_truth_for_eval(manifest_path) -> tuple[dict, scenario.GroundTruth]:
     return manifest, truth
 
 
-def _read_estimates(paths, n_src: int) -> np.ndarray:
+def cmd_evaluate(args) -> int:
+    manifest, truth = _load_truth_for_eval(args.manifest)
+    n_src, paths = manifest["n_src"], args.estimates
     if len(paths) == 1 and Path(paths[0]).is_dir():
         paths = [Path(paths[0]) / f"separated_{k + 1}.wav" for k in range(n_src)]
     if len(paths) != n_src:
-        raise UsageError(f"expected {n_src} estimate files, got {len(paths)}")
-    channels = []
-    for path in paths:
-        _, data = read_wav(path)
-        channels.append(data[0])
-    return np.stack(channels)
-
-
-def cmd_evaluate(args) -> int:
-    manifest, truth = _load_truth_for_eval(args.manifest)
-    estimates = _read_estimates(args.estimates, manifest["n_src"])
-    if estimates.shape[1] != truth.mixtures.shape[1]:
-        raise UsageError(
-            f"estimates have {estimates.shape[1]} samples, references "
-            f"{truth.mixtures.shape[1]}"
-        )
+        raise ContractViolationError(f"expected {n_src} estimate files, got {len(paths)}")
+    # one mono WAV per source, at the mixture's rate and length
+    n_samples = truth.mixtures.shape[1]
+    estimates = np.concatenate([_read_matching(p, truth.sample_rate, 1, n_samples) for p in paths])
     report = metrics.sdr_improvement(truth, estimates, segment_len=args.segment_len)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -440,13 +438,15 @@ DEMO_METHODS = (
 
 def cmd_demo(args) -> int:
     out_dir = Path(args.output_dir)
-    scen_dir = out_dir / "scenario"
     cfg = ScenarioConfig(
         duration_s=args.duration_s, seed=args.seed, move_source=2, move_time_s=args.duration_s / 2.0
     )
     truth = scenario.build(cfg)
-    _write_scenario(truth, cfg, scen_dir)
     stft_cfg = StftConfig(sample_rate=cfg.sample_rate)
+    # every arm scores whole segments and runs mode 'one': check both before writing
+    metrics.check_segment_len(truth.mixtures.shape[1], args.segment_len)
+    _check_decidable_move(truth.move_sample, stft_cfg)
+    _write_scenario(truth, cfg, out_dir / "scenario")
     rows: list[dict] = []
     summary: dict = {
         "config": {
@@ -556,7 +556,7 @@ def main(argv=None) -> int:
     except ContractViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, OSError) as exc:
+    except (DegenerateUpdateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, SingularMatrixError
+from .errors import ContractViolationError, check_bins
 
 #: A pivot smaller than this fraction of its row's magnitude flags the
 #: matrix as numerically singular.
@@ -130,16 +130,13 @@ def masked_solve_unit(M, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def inverse(M) -> np.ndarray:
-    """Matrix inverse of a (stack of) square matrices via the LU kernel."""
+    """Matrix inverse of a (stack of) square matrices via the LU kernel;
+    raises :class:`DegenerateUpdateError` naming the singular ones."""
     stack, batch_shape = _as_matrix_batch(M, "M")
     dim, nb = stack.shape[0], stack.shape[-1]
     op_counter.inversions += nb
     lu, perm, ok = lu_factor(stack)
-    if not np.all(ok):
-        where = tuple(int(i) for i in np.flatnonzero(~ok)[:16])
-        raise SingularMatrixError(
-            f"singular matrix in inverse at batch indices {where}", indices=where
-        )
+    check_bins(ok, "singular matrix in inverse")
     return np.moveaxis(lu_solve(lu, perm, range(dim)), -1, 0).reshape(*batch_shape, dim, dim)
 
 

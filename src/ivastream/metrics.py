@@ -61,18 +61,21 @@ class SegmentedSdr:
         return len(self.values)
 
 
-def seg_sdr(reference: np.ndarray, estimate: np.ndarray, segment_len: int = DEFAULT_SEGMENT_LEN) -> SegmentedSdr:
-    """SI-SDR over non-overlapping segments; the trailing remainder is dropped."""
+def check_segment_len(n_samples: int, segment_len: int) -> None:
+    """Signals of ``n_samples`` samples must hold at least one segment."""
     if segment_len <= 0:
         raise ContractViolationError("segment_len must be positive")
+    if n_samples < segment_len:
+        raise ContractViolationError(f"signals of length {n_samples} are shorter than one segment ({segment_len})")
+
+
+def seg_sdr(reference: np.ndarray, estimate: np.ndarray, segment_len: int = DEFAULT_SEGMENT_LEN) -> SegmentedSdr:
+    """SI-SDR over non-overlapping segments; the trailing remainder is dropped."""
     s = np.asarray(reference, dtype=np.float64)
     y = np.asarray(estimate, dtype=np.float64)
     if s.shape != y.shape or s.ndim != 1:
         raise ContractViolationError("reference and estimate must be equal-length 1-D signals")
-    if len(s) < segment_len:
-        raise ContractViolationError(
-            f"signals of length {len(s)} are shorter than one segment ({segment_len})"
-        )
+    check_segment_len(len(s), segment_len)
     n_segments = len(s) // segment_len
     values = np.array([si_sdr(s[i : i + segment_len], y[i : i + segment_len])
                        for i in range(0, n_segments * segment_len, segment_len)])

@@ -33,7 +33,8 @@ Notes on conventions:
   its explicit symmetrisation by ``linalg.hermitian_part``.
 * The engine and the public kernels share one implementation each: the
   ISS and IP steps run the masked kernels behind :func:`iss_vector` and
-  :func:`ip_update_row`, which raise where the engine freezes and logs.
+  :func:`ip_update_row`, which raise :class:`DegenerateUpdateError` where
+  the engine freezes and logs.
 * The source prior is named once per stream, by ``OnlineConfig.contrast``;
   the engine builds its :class:`ContrastModel` with its own bin count F.
 * The engine takes one (F, K) spectral frame at a time and does not
@@ -46,7 +47,8 @@ kernel is elementwise numpy over contiguous length-F vectors, with loops
 and reductions over K only.  :attr:`OnlineAuxIva.demix` (F, K, K) and
 :attr:`OnlineAuxIva.covariance` (K, F, K, K) are writable views of that
 state.  The public functions keep the (F, ...) shapes and move axes on
-entry, which costs no copy for the engine's own views.
+entry, which costs no copy for the engine's own views.  W and U_k (or v)
+share their leading axes; a mismatch is a :class:`ContractViolationError`.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import ContractViolationError, DegenerateUpdateError
+from .errors import ContractViolationError, check_bins
 
 #: Denominator floor for the ISS coefficient ratios.
 DENOMINATOR_FLOOR = 1e-32
@@ -229,21 +231,15 @@ class DiagnosticsLog:
         return sum(self.counts.values())
 
 
-def _matrices_last(m, batch: tuple | None = None) -> np.ndarray:
-    # (..., K, K) -> contiguous complex (K, K, ...), broadcast to ``batch``
-    # if given; no copy for a view of bins-last memory
-    m = np.asarray(m, dtype=np.complex128)
-    if batch is not None:
-        m = np.broadcast_to(m, batch + m.shape[-2:])
-    return np.ascontiguousarray(np.moveaxis(m, (-2, -1), (0, 1)))
+def _matrices_last(m) -> np.ndarray:
+    # (..., K, K) -> contiguous complex (K, K, ...); no copy for a bins-last view
+    return np.ascontiguousarray(np.moveaxis(np.asarray(m, dtype=np.complex128), (-2, -1), (0, 1)))
 
 
-def _vectors_last(v, batch: tuple | None = None) -> np.ndarray:
-    # (..., K) -> contiguous complex (K, ...), broadcast to ``batch`` if given
-    v = np.asarray(v, dtype=np.complex128)
-    if batch is not None:
-        v = np.broadcast_to(v, batch + v.shape[-1:])
-    return np.ascontiguousarray(np.moveaxis(v, -1, 0))
+def _check_shape(name: str, a, expected: tuple) -> None:
+    # the public kernels take matching shapes; they do not broadcast
+    if np.shape(a) != expected:
+        raise ContractViolationError(f"{name} must have shape {expected}, got {np.shape(a)}")
 
 
 def _demix(W: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -266,13 +262,13 @@ def ip_update_row(W: np.ndarray, U_k: np.ndarray, k: int) -> np.ndarray:
     """Iterative-projection row update: solve ``(W U_k) w = e_k``, normalise.
 
     Returns the demixing *vector* w (its conjugate is stored as row k).
-    Batched over leading axes.  Raises :class:`DegenerateUpdateError`
+    W and U_k share their leading axes.  Raises :class:`DegenerateUpdateError`
     naming the bins where the solve is singular or the quadratic form
     ``w^H U_k w`` is nonpositive.
     """
-    batch = np.broadcast_shapes(np.shape(W)[:-2], np.shape(U_k)[:-2])
-    z, ok = _masked_ip_vector(_matrices_last(W, batch), _matrices_last(U_k, batch), k)
-    _raise_on_bad_bins(ok, k, "singular solve or nonpositive quadratic form in IP update")
+    _check_shape("U_k", U_k, np.shape(W))
+    z, ok = _masked_ip_vector(_matrices_last(W), _matrices_last(U_k), k)
+    check_bins(ok, f"singular solve or nonpositive quadratic form in IP update for source {k}")
     return np.moveaxis(z, 0, -1)
 
 
@@ -293,18 +289,15 @@ def iss_vector(W: np.ndarray, U_all: np.ndarray, k: int) -> np.ndarray:
 
     ``W`` is (F, K, K) with rows ``w_m^H``; ``U_all`` is (K, F, K, K) with
     the per-source weighted covariances.  ``v_m = (w_m^H U_m w_k)/(w_k^H
-    U_m w_k)`` for m != k and ``v_k = 1 - (w_k^H U_k w_k)^{-1/2}``.
+    U_m w_k)`` for m != k and ``v_k = 1 - (w_k^H U_k w_k)^{-1/2}``.  W and
+    each U_m share their leading axes.  Raises :class:`DegenerateUpdateError`
+    naming the bins with a nonpositive denominator or vanishing ``1 - v_k``.
     """
+    _check_shape("U_all", U_all, np.shape(W)[-1:] + np.shape(W))
     U_all = np.moveaxis(np.asarray(U_all, dtype=np.complex128), (-2, -1), (1, 2))
     v, ok = _masked_iss_vector(_matrices_last(W), np.ascontiguousarray(U_all), k)
-    _raise_on_bad_bins(ok, k, "nonpositive denominator in ISS coefficients")
+    check_bins(ok, f"nonpositive denominator in ISS coefficients for source {k}")
     return np.moveaxis(v, 0, -1)
-
-
-def _raise_on_bad_bins(ok: np.ndarray, k: int, what: str) -> None:
-    if not np.all(ok):
-        bad = tuple(int(b) for b in np.flatnonzero(~np.atleast_1d(ok))[:16])
-        raise DegenerateUpdateError(f"{what} for source {k} at bins {bad}", context=(k, bad))
 
 
 def _masked_iss_vector(W: np.ndarray, U_all: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -332,19 +325,17 @@ def _iss_apply(W: np.ndarray, v: np.ndarray, k: int, ok=True) -> None:
 def iss_apply(W: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
     """Rank-1 demixing update ``W <- W - v w_k^H`` (pre-update row k).
 
-    Raises when ``|1 - v_k|`` vanishes, which would make W singular.
+    W and v share their leading axes.  Raises :class:`DegenerateUpdateError`
+    naming the bins where ``|1 - v_k|`` vanishes, which would make W singular.
     """
-    W = np.asarray(W, dtype=np.complex128)
+    _check_shape("v", v, np.shape(W)[:-1])
     v = np.asarray(v, dtype=np.complex128)
     if not np.all(np.isfinite(v)):
         raise ContractViolationError("steering coefficients must be finite")
-    if np.any(np.abs(1.0 - v[..., k]) < ISS_DIAGONAL_FLOOR):
-        raise DegenerateUpdateError(
-            f"ISS update for source {k} would annihilate its own row", context=(k,)
-        )
-    batch = np.broadcast_shapes(W.shape[:-2], v.shape[:-1])
-    out = _matrices_last(W, batch).copy()  # a new array, never the caller's
-    _iss_apply(out, _vectors_last(v, batch), k)
+    check_bins(np.abs(1.0 - v[..., k]) >= ISS_DIAGONAL_FLOOR,
+               f"ISS update for source {k} would annihilate its own row")
+    out = _matrices_last(W).copy()  # a new array, never the caller's
+    _iss_apply(out, np.moveaxis(v, -1, 0), k)
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 
@@ -355,8 +346,7 @@ def project_back(W: np.ndarray, y: np.ndarray) -> np.ndarray:
     image of source k at the first microphone), so the outputs sum back to
     the first mixture channel.  ``W`` is (F, K, K) and ``y`` is (F, K).
     """
-    if np.shape(y) != np.shape(W)[:-1]:
-        raise ContractViolationError(f"y must have shape {np.shape(W)[:-1]}, got {np.shape(y)}")
+    _check_shape("y", y, np.shape(W)[:-1])
     return linalg.inverse(W)[..., 0, :] * y
 
 

@@ -13,7 +13,8 @@ from scipy.io import wavfile
 
 from ivastream.cli import build_parser, main, parse_selector, read_wav, write_wav
 from ivastream import OnlineAuxIva, analyze, project_back, synthesize
-from ivastream.cli import UsageError, run_moving_experiment, run_separation
+from ivastream.cli import run_moving_experiment, run_separation
+from ivastream.errors import ContractViolationError
 from ivastream.scenario import ScenarioConfig, build
 from ivastream.separator import OnlineConfig, UpdateSchedule
 from ivastream.stft import Spectrogram, StftConfig
@@ -64,7 +65,7 @@ class TestConfigParsing:
         assert parse_selector("all", 3, None, cfg) == UpdateSchedule.all_sources(3)
         sched = parse_selector("one:3:938", 3, None, cfg)
         assert sched.after == (2,) and sched.switch_frame == 938
-        with pytest.raises(UsageError):
+        with pytest.raises(ContractViolationError, match="bad selector switch frame"):
             parse_selector("one:3:t(30s)", 3, None, cfg)
         assert parse_selector("one:2:15s", 3, None, cfg).switch_frame == 15 * 16000 // 512 + 1
         auto = parse_selector("one:1:auto", 3, 48000, cfg)
@@ -72,8 +73,12 @@ class TestConfigParsing:
 
     def test_bad_selectors_rejected(self):
         cfg = StftConfig()
-        for text in ("two:1:3", "one:9:5", "one:1:xx", "one:1:auto"):
-            with pytest.raises(UsageError):
+        fragments = {
+            "two:1:3": "selector must be", "one:9:5": "out of range",
+            "one:1:xx": "bad selector switch frame", "one:1:auto": "needs a scenario with a move",
+        }
+        for text, fragment in fragments.items():
+            with pytest.raises(ContractViolationError, match=fragment):
                 parse_selector(text, 3, None, cfg)
 
 
@@ -239,7 +244,30 @@ CONTRACT_VIOLATIONS = {
     "duration_below_one_sample": ("simulate", "--duration-s", "1e-5"),
     "nan_switch_time": ("separate", "{mix}", "--selector", "one:1:nans"),
     "infinite_switch_time": ("separate", "{mix}", "--selector", "one:1:infs"),
+    "stereo_8khz_estimates": (
+        "evaluate", "{scen}/manifest.json", "{tmp}/stereo_8k", "--segment-len", "16000",
+    ),
+    "unequal_length_estimates": (
+        "evaluate", "{scen}/manifest.json", "{tmp}/ragged", "--segment-len", "16000",
+    ),
+    "mixture_at_8khz_with_16khz_manifest": (
+        "separate", "{tmp}/mixture_8k.wav", "--manifest", "{scen}/manifest.json",
+        "--selector", "one:3:auto",
+    ),
 }
+
+
+def write_mismatched_wavs(scenario_dir, tmp_path):
+    """WAVs that do not match the scene's 16 kHz, 3-channel manifest: stereo
+    8 kHz estimates, estimates one sample shorter each, and the mixture
+    relabelled as 8 kHz."""
+    _, mixture = read_wav(scenario_dir / "mixture.wav")
+    for name in ("stereo_8k", "ragged"):
+        (tmp_path / name).mkdir()
+    for k in range(3):
+        write_wav(tmp_path / "stereo_8k" / f"separated_{k + 1}.wav", 8000, mixture[:2])
+        write_wav(tmp_path / "ragged" / f"separated_{k + 1}.wav", 16000, mixture[k, : mixture.shape[1] - k])
+    write_wav(tmp_path / "mixture_8k.wav", 8000, mixture)
 
 
 @pytest.mark.parametrize("argv", CONTRACT_VIOLATIONS.values(), ids=CONTRACT_VIOLATIONS.keys())
@@ -248,6 +276,7 @@ def test_contract_violation_exits_2(argv, scenario_dir, tmp_path, capsys):
     bad.write_text('{"n_src": 3,')
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
+    write_mismatched_wavs(scenario_dir, tmp_path)
     fields = {
         "mix": scenario_dir / "mixture.wav", "scen": scenario_dir, "tmp": tmp_path, "bad": bad,
         "empty": empty,
@@ -418,6 +447,18 @@ class TestDemo:
             assert entry["runtime"]["update_loop_s"] > 0
             assert np.isfinite(entry["overall_improvement_db"])
         assert (demo_dir / "scenario" / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "extra, fragment",
+        [((), "shorter than one segment"), (("--segment-len", "400"), "needs the move at sample 1024")],
+        ids=["scene_shorter_than_a_segment", "move_before_frame_len"],
+    )
+    def test_inputs_checked_before_anything_runs(self, tmp_path, capsys, extra, fragment):
+        out = tmp_path / "demo"
+        code = run_cli("demo", "--duration-s", "0.1", *extra, "-o", str(out))
+        captured = capsys.readouterr()
+        assert code == 2 and fragment in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_deterministic_csv(self, demo_dir, tmp_path):
         again = tmp_path / "again"

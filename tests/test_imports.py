@@ -1,5 +1,6 @@
 """Module boundaries: no module of the package imports a sibling's private
-name, so each kernel keeps one implementation behind one public name;
+name, so each kernel keeps one implementation behind one public name; every
+``raise`` in the package names one of its two exception types;
 ``import ivastream`` loads no heavy module that only some paths need; and
 every name the benchmark's tracer (``perfbench/tracing.py``) wraps exists."""
 
@@ -30,6 +31,24 @@ def private_imports(path: Path):
 
 def test_no_module_imports_a_private_sibling_name():
     offenders = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in private_imports(path)]
+    assert not offenders, offenders
+
+
+FAILURE_TYPES = {"ContractViolationError", "DegenerateUpdateError"}
+
+
+def foreign_raises(path: Path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Raise) or node.exc is None:  # a bare re-raise
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if not (isinstance(exc, ast.Name) and exc.id in FAILURE_TYPES):
+            yield f"{path.name}:{node.lineno} raises {ast.unparse(node.exc)}"
+
+
+def test_every_raise_names_one_of_two_failure_types():
+    # the caller's input is wrong, or a per-bin matrix cannot be used
+    offenders = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in foreign_raises(path)]
     assert not offenders, offenders
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivastream.errors import ContractViolationError, SingularMatrixError
+from ivastream.errors import ContractViolationError, DegenerateUpdateError
 from ivastream.separator import OnlineAuxIva, OnlineConfig
 from ivastream.linalg import (
     SINGULAR_PIVOT_RTOL,
@@ -87,8 +87,9 @@ class TestInverse:
         assert np.linalg.norm(residual, "fro") <= 1e-10
 
     def test_singular_raises(self):
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(DegenerateUpdateError) as excinfo:
             inverse(np.zeros((2, 2)))
+        assert excinfo.value.indices == (0,)
 
 
 class TestHermitianPart:
@@ -183,7 +184,7 @@ class TestLuAgainstOracle:
         assert np.array_equal(np.flatnonzero(~solve_ok), np.flatnonzero(~ok))
         bad = tuple(int(b) for b in np.flatnonzero(~ok)[:16])
         if bad:
-            with pytest.raises(SingularMatrixError) as excinfo:
+            with pytest.raises(DegenerateUpdateError) as excinfo:
                 inverse(m)
             assert excinfo.value.indices == bad
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ivastream.batch import cost
 from ivastream.errors import ContractViolationError, DegenerateUpdateError
 from ivastream.linalg import inverse, op_counter
 from ivastream.separator import (
@@ -20,6 +21,7 @@ from ivastream.separator import (
     iss_vector,
     project_back,
 )
+from ivastream.stft import Spectrogram
 
 from conftest import random_complex, random_psd
 from oracles import online_frame_reference
@@ -91,9 +93,9 @@ class TestIpUpdateRow:
         w, u = random_state(rng, n_src, n_bins)
         u_k = u[k].copy()
         u_k[[1, 3]] = 0.0  # W U_k = 0 on these bins
-        with pytest.raises(DegenerateUpdateError) as excinfo:
+        with pytest.raises(DegenerateUpdateError, match=f"source {k} ") as excinfo:
             ip_update_row(w, u_k, k)
-        assert excinfo.value.context == (k, (1, 3))
+        assert excinfo.value.indices == (1, 3)
 
     @pytest.mark.parametrize("n_src", [1, 3])
     def test_matches_engine_row_bitwise(self, rng, n_src):
@@ -151,6 +153,49 @@ class TestIssApply:
         assert not np.shares_memory(out, engine.demix)
         expected = before - v[:, :, None] * before[:, 1, None, :]
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15 * np.max(np.abs(expected)))
+
+
+BAD_BINS = (1, 4)
+
+# each kernel on a 6-bin, K=3 stack whose bins BAD_BINS are unusable: W is
+# zero there (singular, and zero ISS denominators), so is W U_k, and v has
+# v_k = 1 (an ISS step that would annihilate row k)
+KERNELS_ON_BAD_BINS = {
+    "inverse": lambda w, u, v, spec, k: inverse(w),
+    "ip_update_row": lambda w, u, v, spec, k: ip_update_row(w, u[k], k),
+    "iss_vector": lambda w, u, v, spec, k: iss_vector(w, u, k),
+    "iss_apply": lambda w, u, v, spec, k: iss_apply(w, v, k),
+    "cost": lambda w, u, v, spec, k: cost(w, spec),
+}
+
+
+class TestFailureModel:
+    @pytest.mark.parametrize("kernel", KERNELS_ON_BAD_BINS.values(), ids=KERNELS_ON_BAD_BINS.keys())
+    def test_every_kernel_names_the_same_bad_bins(self, rng, kernel):
+        n_src, n_bins, k = 3, 6, 1
+        w, u = random_state(rng, n_src, n_bins)
+        w[list(BAD_BINS)] = 0.0
+        v = np.zeros((n_bins, n_src), dtype=complex)
+        v[list(BAD_BINS), k] = 1.0
+        spec = Spectrogram(random_complex(rng, n_src, 8, n_bins))
+        with pytest.raises(DegenerateUpdateError) as excinfo:
+            kernel(w, u, v, spec, k)
+        assert excinfo.value.indices == BAD_BINS
+        assert f"at bins {BAD_BINS}" in str(excinfo.value)
+
+    def test_mismatched_leading_shapes_rejected(self, rng):
+        # a (3, 3, 3) W against a single-bin (3, 3) U_k or (3,) v would
+        # otherwise broadcast
+        w, u = random_state(rng, 3, 3)
+        cases = [
+            ("U_k", lambda: ip_update_row(w, u[0, 0], 0)),
+            ("U_k", lambda: ip_update_row(w[0], u[0], 0)),
+            ("v", lambda: iss_apply(w, np.zeros(3), 0)),
+            ("U_all", lambda: iss_vector(w, u[:, 0], 0)),
+        ]
+        for name, call in cases:
+            with pytest.raises(ContractViolationError, match=f"{name} must have shape"):
+                call()
 
 
 class TestIssInvariants:
