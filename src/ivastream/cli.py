@@ -4,7 +4,7 @@
 pipeline behind ``separate`` and ``demo``, reusable from Python.
 
 Exit codes: 0 on success; 2 on every ``ContractViolationError`` (bad flags,
-a missing, malformed or incomplete manifest, input WAVs that do not match
+a missing, malformed, incomplete or mistyped manifest, input WAVs that do not match
 it, and every precondition a config object or kernel checks); 1 on a
 ``DegenerateUpdateError`` (an unusable per-bin matrix) or an ``OSError``.
 Engine, STFT and scenario flags take their defaults from ``OnlineConfig``,
@@ -74,28 +74,37 @@ def write_wav(path, rate: int, data: np.ndarray) -> None:
     wavfile.write(path, rate, arr)
 
 
-#: The ``manifest.json`` keys ``separate`` and ``evaluate`` read (dotted
-#: for nesting); a non-null ``move`` must also hold ``source`` and ``sample``.
-_MANIFEST_KEYS = ("n_src", "sample_rate", "mixing_pre", "move", "files.mixture", "files.images_mic1")
+#: The ``manifest.json`` keys ``separate`` and ``evaluate`` read (dotted for
+#: nesting) and the type of each value (``object``: any; ``list``: a list of
+#: strings); a non-null ``move`` must also hold integer ``source`` and ``sample``.
+_MANIFEST_KEYS = {
+    "n_src": int, "sample_rate": int, "mixing_pre": object, "move": object,
+    "files.mixture": str, "files.images_mic1": list,
+}
 
 
 def _read_manifest(path) -> dict:
     """Load a scenario ``manifest.json``; a missing or malformed file, or
-    one that lacks a key of ``_MANIFEST_KEYS``, is a usage error."""
+    one that lacks a key of ``_MANIFEST_KEYS`` or holds a value of the
+    wrong type there, is a usage error."""
     try:
         with open(path) as fh:
             manifest = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ContractViolationError(f"cannot read manifest {path}: {exc}") from exc
-    keys = _MANIFEST_KEYS
+    keys = dict(_MANIFEST_KEYS)
     if isinstance(manifest, dict) and manifest.get("move"):
-        keys += ("move.source", "move.sample")
-    for key in keys:
+        keys.update({"move.source": int, "move.sample": int})
+    for key, kind in keys.items():
         node = manifest
         for part in key.split("."):
             if not isinstance(node, dict) or part not in node:
                 raise ContractViolationError(f"manifest {path} has no key {key!r}")
             node = node[part]
+        ok = isinstance(node, kind) and not (kind is int and isinstance(node, bool))
+        if not ok or (kind is list and not all(isinstance(name, str) for name in node)):
+            want = "a list of strings" if kind is list else kind.__name__
+            raise ContractViolationError(f"manifest {path} key {key!r} must hold {want}, got {type(node).__name__}")
     return manifest
 
 
@@ -330,17 +339,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _online_config_from_args(args, n_src: int, stft_cfg: StftConfig, switch_hint) -> OnlineConfig:
-    return OnlineConfig(
-        alpha=args.alpha,
-        n_iter=args.n_iter,
-        method=args.method,
-        update_period=args.update_period,
-        selector=parse_selector(args.selector, n_src, switch_hint, stft_cfg),
-        contrast=args.contrast,
-    )
-
-
 def cmd_separate(args) -> int:
     switch_hint = None
     if args.manifest:
@@ -353,7 +351,13 @@ def cmd_separate(args) -> int:
         rate, mixtures = read_wav(args.mixture)
     stft_cfg = StftConfig(frame_len=args.frame_len, sample_rate=rate)
     n_src = mixtures.shape[0]
-    online_cfg = _online_config_from_args(args, n_src, stft_cfg, switch_hint)
+    online_cfg = OnlineConfig(
+        alpha=args.alpha,
+        n_iter=args.n_iter,
+        method=args.method,
+        selector=parse_selector(args.selector, n_src, switch_hint, stft_cfg),
+        contrast=args.contrast,
+    )
     estimates, info = run_separation(mixtures, stft_cfg, online_cfg)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -364,7 +368,6 @@ def cmd_separate(args) -> int:
         "selector": args.selector,
         "alpha": args.alpha,
         "n_iter": args.n_iter,
-        "update_period": args.update_period,
         "contrast": args.contrast,
         "timing": {key: info[key] for key in ("update_loop_s", "projection_s", "stft_s", "total_s")},
         "frames": info["frames"],
@@ -495,7 +498,6 @@ def _add_separation_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--alpha", type=float, default=OnlineConfig.alpha)
     p.add_argument("--n-iter", type=int, default=OnlineConfig.n_iter)
-    p.add_argument("--update-period", type=int, default=OnlineConfig.update_period)
     p.add_argument("--contrast", choices=CONTRASTS, default=OnlineConfig.contrast)
     p.add_argument("--frame-len", type=int, default=StftConfig.frame_len)
 

@@ -88,11 +88,14 @@ def resolve_permutation(references: np.ndarray, estimates: np.ndarray) -> tuple[
     Returns ``perm`` such that ``estimates[perm[k]]`` scores reference
     ``k``.  Solved as a linear sum assignment on the K x K SI-SDR score
     matrix, which costs O(K^3) rather than K!, so any K is supported.
+    Both arrays must be finite.
     """
     refs = np.asarray(references, dtype=np.float64)
     ests = np.asarray(estimates, dtype=np.float64)
     if refs.shape != ests.shape or refs.ndim != 2:
         raise ContractViolationError("references and estimates must both be (K, N)")
+    if not (np.all(np.isfinite(refs)) and np.all(np.isfinite(ests))):
+        raise ContractViolationError("references and estimates must be finite")
     # imported here, not at module level: scipy.optimize takes ~0.6 s to import
     from scipy.optimize import linear_sum_assignment
 

@@ -7,7 +7,7 @@ The engine processes one STFT frame at a time:
    once per frame:
        X_f   <- (x_f x_f^H + (x_f x_f^H)^H) / 2           (exactly Hermitian)
        B_k,f <- alpha * U_k,f[prev frame]                  for every source
-   for iter = 1..n_iter:                      (only 1 pass on skip frames)
+   for iter = 1..n_iter:              (1 pass when the schedule names no index)
        r_k   <- sqrt(sum_f |w_k^H x_f|^2)                 for every source
        U_k,f <- (1 - alpha) * phi(r_k) * X_f + B_k,f      for every source
        for k in the scheduled index set:
@@ -143,19 +143,22 @@ class UpdateSchedule:
             return self.after
         return self.before
 
+    __call__ = indices
+
 
 @dataclass(frozen=True)
 class OnlineConfig:
     """Streaming engine parameters (defaults follow the reference setup).
 
-    ``contrast`` is the source prior, ``"laplace"`` or ``"gauss"``.
+    ``contrast`` is the source prior, ``"laplace"`` or ``"gauss"``;
+    ``selector`` is a callable ``t -> indices``, such as an
+    :class:`UpdateSchedule`, and ``None`` updates every source.
     """
 
     alpha: float = 0.99
     n_iter: int = 2
     method: str = "iss"
-    update_period: int = 1
-    selector: UpdateSchedule | Callable[[int], Sequence[int]] | None = None
+    selector: Callable[[int], Sequence[int]] | None = None
     contrast: str = "laplace"
 
     def __post_init__(self):
@@ -165,8 +168,6 @@ class OnlineConfig:
             raise ContractViolationError("n_iter must be >= 1")
         if self.method not in ("ip", "iss"):
             raise ContractViolationError(f"method must be 'ip' or 'iss', got {self.method!r}")
-        if self.update_period < 1:
-            raise ContractViolationError("update_period must be >= 1")
         if self.contrast not in CONTRASTS:
             raise ContractViolationError(f"unknown contrast model {self.contrast!r}")
 
@@ -377,9 +378,7 @@ class OnlineAuxIva:
         self.config = config
         self.model = ContrastModel(config.contrast, self.n_bins)
         sel = config.selector
-        if sel is None:
-            sel = UpdateSchedule.all_sources(self.n_src)
-        self._indices_at = sel.indices if isinstance(sel, UpdateSchedule) else sel
+        self._indices_at = UpdateSchedule.all_sources(self.n_src) if sel is None else sel
         self._step = self._iss_step if config.method == "iss" else self._ip_step
         self.flops = FlopCounter()
         eye = np.eye(self.n_src, dtype=np.complex128)[:, :, None]
@@ -422,29 +421,25 @@ class OnlineAuxIva:
     def process_frame(self, frame: np.ndarray) -> np.ndarray:
         """Consume one (F, K) spectral frame, return the separated frame.
 
-        Runs the configured number of inner iterations (demixing updates
-        happen only on frames where ``(t - 1) % update_period == 0``; other
-        frames still refresh the covariances once) and persists the final
-        covariance as this frame's state.  The selector is consulted once
-        per update frame.
+        Frame t (1-based) runs ``n_iter`` passes if the selector names an
+        index at t, else one covariance refresh pass, and persists the last
+        pass's covariance.  Its shape, finiteness and indices are checked
+        first: a frame they reject leaves the engine, clock included, as it was.
         """
         x = np.asarray(frame, dtype=np.complex128)
-        if x.shape != (self.n_bins, self.n_src):
-            raise ContractViolationError(
-                f"frame must have shape ({self.n_bins}, {self.n_src}), got {x.shape}"
-            )
-        x = np.ascontiguousarray(x.T)
-        self._t += 1
-        t = self._t
         k, f = self.n_src, self.n_bins
+        if x.shape != (f, k):
+            raise ContractViolationError(f"frame must have shape ({f}, {k}), got {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise ContractViolationError("frame has non-finite entries")
+        indices = tuple(self._indices_at(self._t + 1))
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < k
+                   for i in indices):
+            raise ContractViolationError(f"selector produced indices {indices}, not integers in 0..{k - 1}")
+        self._t += 1
+        passes = self.config.n_iter if indices else 1
         alpha = self.config.alpha
-        if (t - 1) % self.config.update_period == 0:
-            passes, indices = self.config.n_iter, tuple(self._indices_at(t))
-            for idx in indices:
-                if not 0 <= idx < k:
-                    raise ContractViolationError(f"selector produced index {idx}")
-        else:
-            passes, indices = 1, ()
+        x = np.ascontiguousarray(x.T)
         outer = _outer(x)
         decayed = alpha * self._U
         for _ in range(passes):

@@ -94,8 +94,6 @@ def analyze(signal, cfg: StftConfig = StftConfig()) -> Spectrogram:
     """
     sig = _as_channels(signal)
     n = sig.shape[1]
-    if n == 0:
-        raise ContractViolationError("empty signal")
     if n < cfg.frame_len:
         raise ContractViolationError(
             f"signal length {n} shorter than one frame ({cfg.frame_len})"

@@ -5,6 +5,8 @@ import importlib.util
 import json
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -254,37 +256,79 @@ CONTRACT_VIOLATIONS = {
         "separate", "{tmp}/mixture_8k.wav", "--manifest", "{scen}/manifest.json",
         "--selector", "one:3:auto",
     ),
+    "move_sample_not_an_integer": (
+        "separate", "{mix}", "--manifest", "{scen}/move_sample_str.json", "--selector", "one:1:auto",
+    ),
+    "move_source_not_an_integer": (
+        "evaluate", "{scen}/move_source_str.json", "{scen}", "--segment-len", "16000",
+    ),
+    "images_mic1_not_a_list": (
+        "evaluate", "{scen}/images_mic1_str.json", "{scen}", "--segment-len", "16000",
+    ),
+    "nan_in_estimate": (
+        "evaluate", "{scen}/manifest.json", "{tmp}/nan_sample", "--segment-len", "16000",
+    ),
 }
+
+#: The manifest key each mistyped-manifest case's error must name.
+NAMED_KEYS = {
+    "move_sample_not_an_integer": "'move.sample'",
+    "move_source_not_an_integer": "'move.source'",
+    "images_mic1_not_a_list": "'files.images_mic1'",
+}
+
+
+def write_mistyped_manifests(scenario_dir):
+    """Copies of the scene's manifest, next to it, each with one value of
+    the wrong type: a string ``move.sample`` and ``move.source``, and one
+    file name in place of the ``images_mic1`` list."""
+    manifest = json.loads((scenario_dir / "manifest.json").read_text())
+    edits = {
+        "move_sample_str": ("move", "sample", "x"),
+        "move_source_str": ("move", "source", "3"),
+        "images_mic1_str": ("files", "images_mic1", "image_mic1_1.wav"),
+    }
+    for name, (section, key, value) in edits.items():
+        edited = json.loads(json.dumps(manifest))
+        edited[section][key] = value
+        (scenario_dir / f"{name}.json").write_text(json.dumps(edited))
 
 
 def write_mismatched_wavs(scenario_dir, tmp_path):
     """WAVs that do not match the scene's 16 kHz, 3-channel manifest: stereo
     8 kHz estimates, estimates one sample shorter each, and the mixture
-    relabelled as 8 kHz."""
+    relabelled as 8 kHz; and float estimates with one NaN sample."""
     _, mixture = read_wav(scenario_dir / "mixture.wav")
-    for name in ("stereo_8k", "ragged"):
+    for name in ("stereo_8k", "ragged", "nan_sample"):
         (tmp_path / name).mkdir()
     for k in range(3):
         write_wav(tmp_path / "stereo_8k" / f"separated_{k + 1}.wav", 8000, mixture[:2])
         write_wav(tmp_path / "ragged" / f"separated_{k + 1}.wav", 16000, mixture[k, : mixture.shape[1] - k])
+        nan_sample = mixture[k].copy()
+        nan_sample[100 * (k + 1)] = np.nan
+        write_wav(tmp_path / "nan_sample" / f"separated_{k + 1}.wav", 16000, nan_sample)
     write_wav(tmp_path / "mixture_8k.wav", 8000, mixture)
 
 
-@pytest.mark.parametrize("argv", CONTRACT_VIOLATIONS.values(), ids=CONTRACT_VIOLATIONS.keys())
-def test_contract_violation_exits_2(argv, scenario_dir, tmp_path, capsys):
+@pytest.mark.parametrize("case", CONTRACT_VIOLATIONS)
+def test_contract_violation_exits_2(case, scenario_dir, tmp_path, capsys):
     bad = tmp_path / "manifest.json"
     bad.write_text('{"n_src": 3,')
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
     write_mismatched_wavs(scenario_dir, tmp_path)
+    write_mistyped_manifests(scenario_dir)
     fields = {
         "mix": scenario_dir / "mixture.wav", "scen": scenario_dir, "tmp": tmp_path, "bad": bad,
         "empty": empty,
     }
+    argv = CONTRACT_VIOLATIONS[case]
     code = run_cli(*(arg.format(**fields) for arg in argv), "-o", str(tmp_path / "out"))
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert NAMED_KEYS.get(case, "") in err
 
 
 class TestMovingExperiment:
@@ -367,9 +411,11 @@ class TestPipeline:
 
     @pytest.mark.parametrize("method", ["iss", "ip"])
     def test_run_separation_is_the_readme_loop(self, moving_scene, method):
-        # update_period=2 makes every second frame a skip frame
+        # every second frame names no index: a skip frame
         mixture, stft_cfg = moving_scene.mixtures, StftConfig()
-        online_cfg = OnlineConfig(method=method, update_period=2)
+        online_cfg = OnlineConfig(
+            method=method, selector=lambda t: (0, 1, 2) if (t - 1) % 2 == 0 else ()
+        )
         spec = analyze(mixture, stft_cfg)
         engine = OnlineAuxIva(spec.n_bins, 3, online_cfg)
         out = np.empty_like(spec.data)
@@ -391,6 +437,15 @@ class TestPipeline:
             moving_scene.mixtures, stft_cfg, OnlineConfig(method=method, selector=schedule)
         )
         assert np.array_equal(estimates, expected)
+
+    def test_benchmark_selftest_passes(self):
+        # the self-test runs the chain with an UpdateSchedule and with a plain
+        # function as its selector, and checks ISS zero solves and span nesting
+        result = subprocess.run(
+            [sys.executable, str(PERFBENCH / "selftest.py")],
+            cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
 
     def test_benchmark_chain_is_the_pipeline(self, moving_scene, tmp_path, monkeypatch):
         # perfbench/run.py is not imported: it sets BLAS thread variables

@@ -128,6 +128,16 @@ class TestResolvePermutation:
             ests[j] = refs[i] + orthogonal_noise(rng, refs[i], 0.1)
         assert resolve_permutation(refs, ests) == shuffle
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, rng, bad):
+        refs = rng.standard_normal((2, 400))
+        ests = refs[::-1].copy()
+        ests[1, 7] = bad
+        with pytest.raises(ContractViolationError, match="finite"):
+            resolve_permutation(refs, ests)
+        with pytest.raises(ContractViolationError, match="finite"):
+            resolve_permutation(ests, refs)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_total_score_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)

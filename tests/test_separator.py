@@ -403,13 +403,18 @@ class TestEngine:
     @pytest.mark.parametrize("method", ["iss", "ip"])
     @pytest.mark.parametrize("n_src", [2, 3, 8])
     def test_multi_frame_matches_reference(self, method, n_src):
-        # update_period=2: even frames run one refresh pass and no index
+        # even frames name no index: they run one refresh pass and no index
         # update, so each frame's blend base must be the previous frame's
         # persisted covariance, never a partially updated one
         rng = np.random.default_rng(100 + n_src)
         n_bins, n_iter, alpha = 6, 2, 0.9
+        every = tuple(range(n_src))
         engine = OnlineAuxIva(
-            n_bins, n_src, OnlineConfig(method=method, n_iter=n_iter, alpha=alpha, update_period=2)
+            n_bins, n_src,
+            OnlineConfig(
+                method=method, n_iter=n_iter, alpha=alpha,
+                selector=lambda t: every if (t - 1) % 2 == 0 else (),
+            ),
         )
         w_ref, u_ref = random_state(rng, n_src, n_bins)
         engine.demix[:] = w_ref
@@ -425,8 +430,10 @@ class TestEngine:
             np.testing.assert_allclose(engine.demix, w_ref, atol=1e-12)
             np.testing.assert_allclose(engine.covariance, u_ref, atol=1e-12)
 
-    def test_update_period_skips_demixing_only(self, rng):
-        engine = OnlineAuxIva(8, 2, OnlineConfig(method="iss", update_period=3))
+    def test_skip_frames_refresh_covariance_only(self, rng):
+        engine = OnlineAuxIva(
+            8, 2, OnlineConfig(method="iss", selector=lambda t: (0, 1) if (t - 1) % 3 == 0 else ())
+        )
         frames = self.frames(rng, 7, 8, 2)
         snapshots = []
         covariances = []
@@ -439,6 +446,23 @@ class TestEngine:
         assert np.array_equal(snapshots[1], snapshots[2])
         assert not np.array_equal(snapshots[2], snapshots[3])
         assert not np.array_equal(covariances[0], covariances[1])
+
+    def test_empty_schedule_runs_one_pass(self, rng):
+        # n_iter passes over no index would repeat one identical refresh
+        n_bins, n_src, alpha = 6, 3, 0.9
+        engine = OnlineAuxIva(
+            n_bins, n_src, OnlineConfig(n_iter=2, alpha=alpha, selector=lambda t: ())
+        )
+        w0, u0 = random_state(rng, n_src, n_bins)
+        engine.demix[:] = w0
+        engine.covariance[:] = u0
+        x = self.frames(rng, 1, n_bins, n_src)[0]
+        y = engine.process_frame(x)
+        assert engine.flops.activity == FlopCounter.activity_flops(n_src, n_bins)
+        y_ref, w_ref, u_ref = online_frame_reference(w0, u0, x, alpha, 1, (), "iss")
+        np.testing.assert_allclose(y, y_ref, atol=1e-12)
+        np.testing.assert_allclose(engine.demix, w_ref, atol=1e-12)
+        np.testing.assert_allclose(engine.covariance, u_ref, atol=1e-12)
 
     def test_selector_switch_restricts_updates(self, rng):
         n_bins, n_src, moving = 8, 3, 1
@@ -498,22 +522,29 @@ class TestEngine:
         assert all(not np.array_equal(engine.demix[f], before[f]) for f in good)
         assert engine.diagnostics.counts == {f"{method}_degenerate": bad.size * len(updated)}
 
-    def test_raising_ip_frame_leaves_state_unchanged(self, rng):
-        # a frame with a non-finite bin raises in the IP solve; the engine
-        # keeps the last completed frame's state and the stream goes on
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("method", ["iss", "ip"])
+    def test_rejected_frame_leaves_state_unchanged(self, rng, method, bad_value):
+        # a frame with a non-finite bin is rejected on entry: the engine
+        # keeps the last completed frame's state and clock, and the stream
+        # goes on adapting with no degenerate bin
         n_bins, n_src = 9, 3
-        engine = OnlineAuxIva(n_bins, n_src, OnlineConfig(method="ip"))
-        frames = self.frames(rng, 22, n_bins, n_src)
+        engine = OnlineAuxIva(n_bins, n_src, OnlineConfig(method=method))
+        frames = self.frames(rng, 51, n_bins, n_src)
         for x in frames[:20]:
             engine.process_frame(x)
         demix, covariance = engine.demix.copy(), engine.covariance.copy()
         bad = frames[20].copy()
-        bad[4, 1] = np.nan
-        with pytest.raises(ContractViolationError):
+        bad[4, 1] = bad_value
+        with pytest.raises(ContractViolationError, match="non-finite"):
             engine.process_frame(bad)
         assert np.array_equal(engine.demix, demix)
         assert np.array_equal(engine.covariance, covariance)
-        assert np.all(np.isfinite(engine.process_frame(frames[21])))
+        assert engine._t == 20
+        for x in frames[21:]:
+            assert np.all(np.isfinite(engine.process_frame(x)))
+        assert np.all(np.isfinite(engine.covariance))
+        assert engine.diagnostics.counts == {}
 
     def test_alpha_outside_unit_interval_rejected(self):
         with pytest.raises(ContractViolationError):
@@ -527,9 +558,15 @@ class TestEngine:
             engine.process_frame(np.zeros((5, 2), dtype=complex))
 
     def test_selector_index_validated(self, rng):
-        engine = OnlineAuxIva(4, 2, OnlineConfig(selector=lambda t: (5,)))
-        with pytest.raises(ContractViolationError):
-            engine.process_frame(self.frames(rng, 1, 4, 2)[0])
+        x = self.frames(rng, 1, 4, 2)[0]
+        for bad in [(5,), (-1,), (1.0,), (True,)]:
+            engine = OnlineAuxIva(4, 2, OnlineConfig(selector=lambda t: bad))
+            with pytest.raises(ContractViolationError, match="not integers in 0..1"):
+                engine.process_frame(x)
+            assert engine._t == 0
+        engine = OnlineAuxIva(4, 2, OnlineConfig(selector=lambda t: (np.int64(1),)))
+        engine.process_frame(x)
+        assert engine._t == 1
 
     def test_flop_attribution_matches_formulas(self, rng):
         n_bins, n_src = 8, 3
@@ -564,19 +601,24 @@ class TestEngineLayoutProperties:
         n_bins=st.integers(1, 9),
         method=st.sampled_from(["iss", "ip"]),
         n_iter=st.sampled_from([1, 2]),
-        update_period=st.sampled_from([1, 2]),
+        period=st.sampled_from([1, 2]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_state_views_and_frames_match_reference(
-        self, n_src, n_bins, method, n_iter, update_period, seed
+        self, n_src, n_bins, method, n_iter, period, seed
     ):
         # each pair of frames restarts from a state written through the
-        # views, once before the stream and once mid-stream
+        # views, once before the stream and once mid-stream; with period 2
+        # every second frame names no index
         rng = np.random.default_rng(seed)
         alpha = 0.9
+        every = tuple(range(n_src))
         engine = OnlineAuxIva(
             n_bins, n_src,
-            OnlineConfig(method=method, n_iter=n_iter, alpha=alpha, update_period=update_period),
+            OnlineConfig(
+                method=method, n_iter=n_iter, alpha=alpha,
+                selector=lambda t: every if (t - 1) % period == 0 else (),
+            ),
         )
         frames = random_complex(rng, 4, n_bins, n_src)
         for t, x in enumerate(frames, start=1):
@@ -585,7 +627,7 @@ class TestEngineLayoutProperties:
                 engine.demix[:] = w_ref
                 engine.covariance[:] = u_ref
             y = engine.process_frame(x)
-            update = (t - 1) % update_period == 0
+            update = (t - 1) % period == 0
             y_ref, w_ref, u_ref = online_frame_reference(
                 w_ref, u_ref, x, alpha, n_iter if update else 1,
                 range(n_src) if update else (), method,
