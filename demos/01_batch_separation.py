@@ -26,7 +26,7 @@ mixture = Spectrogram(np.einsum("km,mtf->ktf", mixing, sources))
 
 # --- run all three strategies ----------------------------------------------
 results = {
-    name: batch_auxiva(BatchProblem(mixture, "laplace", n_iter=12), name)
+    name: batch_auxiva(BatchProblem(mixture, n_iter=12), name)
     for name in ("ip", "iss", "iss_inplace")
 }
 

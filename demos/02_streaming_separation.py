@@ -18,7 +18,6 @@ from ivastream import (
     StftConfig,
     analyze,
     build,
-    project_back,
     sdr_improvement,
     synthesize,
 )
@@ -38,7 +37,7 @@ separated = np.empty_like(spec.data)
 for t in range(spec.n_frames):
     frame = np.ascontiguousarray(spec.data[:, t, :].T)   # (bins, channels)
     y = engine.process_frame(frame)                      # inverse-free updates
-    y = project_back(engine.demix, y)                    # fix per-source scale
+    y = engine.project(y)                                # fix per-source scale
     separated[:, t, :] = y.T
 
 estimates = synthesize(Spectrogram(separated), stft_cfg, n_samples=truth.mixtures.shape[1])

@@ -19,7 +19,6 @@ from .metrics import (
 )
 from .scenario import GroundTruth, ScenarioConfig, build, mix, synth_sources
 from .separator import (
-    ContrastModel,
     DiagnosticsLog,
     FlopCounter,
     OnlineAuxIva,
@@ -38,7 +37,6 @@ __all__ = [
     "BatchProblem",
     "BatchResult",
     "ContractViolationError",
-    "ContrastModel",
     "DegenerateUpdateError",
     "DiagnosticsLog",
     "FlopCounter",

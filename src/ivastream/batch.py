@@ -10,13 +10,13 @@ Three demixing update strategies are offered:
   update, which preserves the surrogate-descent guarantee per index.
 * ``iss_inplace`` -- the same updates expressed directly on the separated
   spectrogram (``y <- y - v y_k``) with the steering coefficients computed
-  from weighted signal statistics; algebraically identical to ``iss`` for
-  the Laplace model, where the 1/(2r) weighting cancels in the coefficient
-  ratios and survives only in the diagonal normalisation term.
+  from weighted signal statistics; algebraically identical to ``iss``,
+  since the Laplace weight 1/(2r) cancels in the coefficient ratios and
+  survives only in the diagonal normalisation term.
 
 Both ISS variants update the demixing matrices alongside so every method
-reports (demixing matrices, cost trace, separated spectrogram).  Every
-function takes the contrast kind alone and reads F from the spectrogram.
+reports (demixing matrices, cost trace, separated spectrogram).  The source
+prior is the engine's: covariances are weighted by :func:`separator.weight`.
 """
 
 from __future__ import annotations
@@ -27,20 +27,18 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractViolationError, DegenerateUpdateError, check_bins
-from .separator import R_FLOOR, ContrastModel, ip_update_row, iss_apply, iss_vector
+from .separator import R_FLOOR, ip_update_row, iss_apply, iss_vector, weight
 from .stft import Spectrogram
 
 
 @dataclass(frozen=True)
 class BatchProblem:
-    """A spectrogram to separate, its source prior and the sweep budget."""
+    """A spectrogram to separate and the sweep budget."""
 
     spectrogram: Spectrogram
-    contrast: str = "laplace"
     n_iter: int = 10
 
     def __post_init__(self):
-        ContrastModel(self.contrast, self.spectrogram.n_bins)  # validates the kind
         if self.spectrogram.n_frames < self.spectrogram.n_channels:
             raise ContractViolationError(
                 "need at least as many frames as channels to estimate covariances"
@@ -70,42 +68,41 @@ def _activities(Y: np.ndarray) -> np.ndarray:
     return np.maximum(np.sqrt(np.sum(np.abs(Y) ** 2, axis=0)), R_FLOOR)
 
 
-def cost(W: np.ndarray, spec: Spectrogram, contrast: str = "laplace") -> float:
-    """Negative log-likelihood ``sum_k mean_t G(r_kt) - 2 sum_f log|det W_f|``.
+def cost(W: np.ndarray, spec: Spectrogram) -> float:
+    """Negative log-likelihood ``sum_k mean_t r_kt - 2 sum_f log|det W_f|``
+    under the Laplace prior, activities floored at :data:`R_FLOOR`.
 
-    For the gauss model the value is reported up to an additive constant.
     Raises :class:`DegenerateUpdateError` naming the bins where W is singular.
     """
-    model = ContrastModel(contrast, spec.n_bins)
     r = _activities(_demix(W, _to_ftk(spec)))
-    data_term = float(np.sum(np.mean(model.contrast(r), axis=0)))
+    data_term = float(np.sum(np.mean(r, axis=0)))
     sign, logdet = np.linalg.slogdet(W)
     check_bins(sign != 0, "singular demixing matrix")
     return data_term - 2.0 * float(np.sum(logdet))
 
 
-def batch_weighted_covariance(spec: Spectrogram, W: np.ndarray, contrast: str = "laplace") -> np.ndarray:
+def batch_weighted_covariance(spec: Spectrogram, W: np.ndarray) -> np.ndarray:
     """Weighted covariances ``U_kf = (1/T) sum_t phi(r_kt) x_ft x_ft^H``,
     as the (K, F, K, K) stack."""
-    return _covariances_from(_to_ftk(spec), W, ContrastModel(contrast, spec.n_bins))
+    return _covariances_from(_to_ftk(spec), W)
 
 
-def _covariances_from(X: np.ndarray, W: np.ndarray, model: ContrastModel) -> np.ndarray:
-    phi = model.weight(_activities(_demix(W, X)))  # (T, K)
+def _covariances_from(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    phi = weight(_activities(_demix(W, X)))  # (T, K)
     U = np.einsum("tk,fti,ftj->kfij", phi, X, np.conj(X)) / X.shape[1]
     return linalg.hermitian_part(U)
 
 
-def _sweep_ip(X: np.ndarray, W: np.ndarray, model: ContrastModel) -> np.ndarray:
-    U = _covariances_from(X, W, model)
+def _sweep_ip(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    U = _covariances_from(X, W)
     for k in range(W.shape[-1]):
         W[:, k, :] = np.conj(ip_update_row(W, U[k], k))
     return W
 
 
-def _sweep_iss(X: np.ndarray, W: np.ndarray, model: ContrastModel) -> np.ndarray:
+def _sweep_iss(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     for k in range(W.shape[-1]):
-        U = _covariances_from(X, W, model)
+        U = _covariances_from(X, W)
         W = iss_apply(W, iss_vector(W, U, k), k)
     return W
 
@@ -136,29 +133,24 @@ def batch_auxiva(problem: BatchProblem, method: str = "iss") -> BatchResult:
     """
     if method not in ("ip", "iss", "iss_inplace"):
         raise ContractViolationError(f"unknown batch method {method!r}")
-    if method == "iss_inplace" and problem.contrast != "laplace":
-        raise ContractViolationError(
-            "the in-place ISS signal update is derived for the Laplace model only"
-        )
     spec = problem.spectrogram
     X = _to_ftk(spec)
     n_bins, _, n_src = X.shape
     W = np.tile(np.eye(n_src, dtype=np.complex128), (n_bins, 1, 1))
-    model = ContrastModel(problem.contrast, n_bins)
-    trace = [cost(W, spec, problem.contrast)]
+    trace = [cost(W, spec)]
     Y = X.copy() if method == "iss_inplace" else None
     for sweep in range(problem.n_iter):
         try:
             if method == "ip":
-                W = _sweep_ip(X, W, model)
+                W = _sweep_ip(X, W)
             elif method == "iss":
-                W = _sweep_iss(X, W, model)
+                W = _sweep_iss(X, W)
             else:
                 Y, W = _sweep_iss_inplace(Y, W)
         except DegenerateUpdateError as exc:
             exc.args = (f"sweep {sweep + 1}: {exc}",)
             raise
-        trace.append(cost(W, spec, problem.contrast))
+        trace.append(cost(W, spec))
     separated = Y if method == "iss_inplace" else _demix(W, X)
     return BatchResult(
         demix=W,

@@ -25,7 +25,7 @@ from scipy.io import wavfile
 from . import metrics, scenario
 from .errors import ContractViolationError, DegenerateUpdateError
 from .scenario import ScenarioConfig
-from .separator import CONTRASTS, OnlineAuxIva, OnlineConfig, UpdateSchedule, project_back
+from .separator import OnlineAuxIva, OnlineConfig, UpdateSchedule
 from .stft import Spectrogram, StftConfig, analyze, synthesize
 
 
@@ -171,8 +171,8 @@ def _run_pipeline(
     at_switch=None,
 ):
     """The package's one frame loop, with an info dict: analyze, then per
-    frame :meth:`OnlineAuxIva.process_frame` and :func:`project_back`, then
-    synthesize.
+    frame :meth:`OnlineAuxIva.process_frame` and :meth:`OnlineAuxIva.project`,
+    then synthesize.
 
     When ``switch_frame`` (1-based) falls within the stream, ``at_switch``
     receives the synthesised estimates of the frames before it, untimed,
@@ -191,7 +191,7 @@ def _run_pipeline(
         tic = time.perf_counter()
         y = engine.process_frame(spec.data[:, t, :].T)
         toc = time.perf_counter()
-        y = project_back(engine.demix, y)
+        y = engine.project(y)
         update_s += toc - tic
         project_s += time.perf_counter() - toc
         out[:, t, :] = y.T
@@ -356,7 +356,6 @@ def cmd_separate(args) -> int:
         n_iter=args.n_iter,
         method=args.method,
         selector=parse_selector(args.selector, n_src, switch_hint, stft_cfg),
-        contrast=args.contrast,
     )
     estimates, info = run_separation(mixtures, stft_cfg, online_cfg)
     out_dir = Path(args.output_dir)
@@ -368,7 +367,6 @@ def cmd_separate(args) -> int:
         "selector": args.selector,
         "alpha": args.alpha,
         "n_iter": args.n_iter,
-        "contrast": args.contrast,
         "timing": {key: info[key] for key in ("update_loop_s", "projection_s", "stft_s", "total_s")},
         "frames": info["frames"],
         "degenerate_updates": info["degenerate_updates"],
@@ -498,7 +496,6 @@ def _add_separation_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--alpha", type=float, default=OnlineConfig.alpha)
     p.add_argument("--n-iter", type=int, default=OnlineConfig.n_iter)
-    p.add_argument("--contrast", choices=CONTRASTS, default=OnlineConfig.contrast)
     p.add_argument("--frame-len", type=int, default=StftConfig.frame_len)
 
 

@@ -26,7 +26,8 @@ Notes on conventions:
   rows and :class:`DiagnosticsLog` counts them by kind; a streaming
   system must not halt on a transiently bad bin.
 * The ISS path performs no linear solves or inversions; back-projection
-  (the only inversion user) lives outside :meth:`OnlineAuxIva.process_frame`.
+  (the only inversion user) lives outside :meth:`OnlineAuxIva.process_frame`,
+  in :meth:`OnlineAuxIva.project`.
 * Both terms of the covariance refresh are exactly Hermitian, so every
   persisted covariance is too, bit for bit.  ``x x^H`` alone is not (the
   diagonal picks up an imaginary residue under fused multiply-add), hence
@@ -35,8 +36,9 @@ Notes on conventions:
   ISS and IP steps run the masked kernels behind :func:`iss_vector` and
   :func:`ip_update_row`, which raise :class:`DegenerateUpdateError` where
   the engine freezes and logs.
-* The source prior is named once per stream, by ``OnlineConfig.contrast``;
-  the engine builds its :class:`ContrastModel` with its own bin count F.
+* The source prior is the spherical Laplace one: every source's covariance
+  is weighted by :func:`weight`, ``phi(r) = 1/(2r)``, which the batch
+  solver shares.
 * The engine takes one (F, K) spectral frame at a time and does not
   depend on the STFT front end; the package's one frame loop, behind
   ``cli.run_separation``, feeds it and back-projects each output frame.
@@ -54,6 +56,7 @@ share their leading axes; a mismatch is a :class:`ContractViolationError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -70,44 +73,16 @@ ISS_DIAGONAL_FLOOR = 1e-12
 #: Diagonal loading of the initial covariances (identity times this).
 INIT_COVARIANCE_SCALE = 1e-3
 
-#: Activity floor: both contrast weights diverge at r = 0.
+#: Activity floor: the weight 1/(2r) diverges at r = 0.
 R_FLOOR = 1e-8
 
-#: The source priors :class:`ContrastModel` accepts.
-CONTRASTS = ("laplace", "gauss")
 
+def weight(r):
+    """The Laplace prior's covariance weight ``phi(r) = 1/(2r)``, vectorised.
 
-@dataclass(frozen=True)
-class ContrastModel:
-    """Source-prior selector supplying the covariance weighting phi(r).
-
-    ``laplace`` uses ``phi(r) = 1/(2r)``; ``gauss`` (time-varying Gaussian)
-    uses ``phi(r) = F/r**2`` with ``F = n_bins``, the bin count of the data
-    it weights.  Activities are floored at :data:`R_FLOOR` before weighting.
+    Activities are floored at :data:`R_FLOOR` first.
     """
-
-    kind: str
-    n_bins: int
-
-    def __post_init__(self):
-        if self.kind not in CONTRASTS:
-            raise ContractViolationError(f"unknown contrast model {self.kind!r}")
-        if self.n_bins < 1:
-            raise ContractViolationError("n_bins must be >= 1")
-
-    def weight(self, r):
-        """phi(r), vectorised; input is floored at :data:`R_FLOOR`."""
-        r = np.maximum(np.asarray(r, dtype=np.float64), R_FLOOR)
-        if self.kind == "laplace":
-            return 0.5 / r
-        return self.n_bins / (r * r)
-
-    def contrast(self, r):
-        """G(r) for cost reporting (up to an additive constant for gauss)."""
-        r = np.maximum(np.asarray(r, dtype=np.float64), R_FLOOR)
-        if self.kind == "laplace":
-            return r
-        return 2.0 * self.n_bins * np.log(r)
+    return 0.5 / np.maximum(np.asarray(r, dtype=np.float64), R_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -150,7 +125,6 @@ class UpdateSchedule:
 class OnlineConfig:
     """Streaming engine parameters (defaults follow the reference setup).
 
-    ``contrast`` is the source prior, ``"laplace"`` or ``"gauss"``;
     ``selector`` is a callable ``t -> indices``, such as an
     :class:`UpdateSchedule`, and ``None`` updates every source.
     """
@@ -159,17 +133,15 @@ class OnlineConfig:
     n_iter: int = 2
     method: str = "iss"
     selector: Callable[[int], Sequence[int]] | None = None
-    contrast: str = "laplace"
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise ContractViolationError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if self.n_iter < 1:
-            raise ContractViolationError("n_iter must be >= 1")
+        alpha, n_iter = self.alpha, self.n_iter
+        if isinstance(alpha, bool) or not isinstance(alpha, Real) or not 0.0 <= alpha < 1.0:
+            raise ContractViolationError(f"alpha must be a real number in [0, 1), got {alpha!r}")
+        if isinstance(n_iter, bool) or not isinstance(n_iter, Integral) or n_iter < 1:
+            raise ContractViolationError(f"n_iter must be an integer >= 1, got {n_iter!r}")
         if self.method not in ("ip", "iss"):
             raise ContractViolationError(f"method must be 'ip' or 'iss', got {self.method!r}")
-        if self.contrast not in CONTRASTS:
-            raise ContractViolationError(f"unknown contrast model {self.contrast!r}")
 
 
 @dataclass
@@ -254,7 +226,7 @@ def _outer(x: np.ndarray) -> np.ndarray:
 
 
 def _activity(W: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # bins-last r_k = sqrt(sum_f |w_k,f^H x_f|^2); ContrastModel.weight floors it
+    # bins-last r_k = sqrt(sum_f |w_k,f^H x_f|^2); weight() floors it
     y = _demix(W, x)
     return np.sqrt(np.sum(y.real**2 + y.imag**2, axis=-1))
 
@@ -363,9 +335,6 @@ class OnlineAuxIva:
     config:
         :class:`OnlineConfig`; ``selector=None`` updates every source.
 
-    The engine weights its covariances by ``ContrastModel(config.contrast,
-    n_bins)``, kept as :attr:`model`.
-
     State is owned by one stream; run independent streams on independent
     instances.
     """
@@ -376,7 +345,6 @@ class OnlineAuxIva:
         self.n_bins = int(n_bins)
         self.n_src = int(n_src)
         self.config = config
-        self.model = ContrastModel(config.contrast, self.n_bins)
         sel = config.selector
         self._indices_at = UpdateSchedule.all_sources(self.n_src) if sel is None else sel
         self._step = self._iss_step if config.method == "iss" else self._ip_step
@@ -423,15 +391,16 @@ class OnlineAuxIva:
 
         Frame t (1-based) runs ``n_iter`` passes if the selector names an
         index at t, else one covariance refresh pass, and persists the last
-        pass's covariance.  Its shape, finiteness and indices are checked
-        first: a frame they reject leaves the engine, clock included, as it was.
+        pass's covariance.  Its shape, a finite energy sum |x|^2 and its
+        indices are checked first: a frame they reject leaves the engine,
+        clock included, as it was.
         """
         x = np.asarray(frame, dtype=np.complex128)
         k, f = self.n_src, self.n_bins
         if x.shape != (f, k):
             raise ContractViolationError(f"frame must have shape ({f}, {k}), got {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ContractViolationError("frame has non-finite entries")
+        if not np.isfinite(np.vdot(x, x).real):  # also a sample whose square overflows
+            raise ContractViolationError("frame has non-finite entries or energy")
         indices = tuple(self._indices_at(self._t + 1))
         if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < k
                    for i in indices):
@@ -443,7 +412,7 @@ class OnlineAuxIva:
         outer = _outer(x)
         decayed = alpha * self._U
         for _ in range(passes):
-            phi = self.model.weight(_activity(self._W, x))
+            phi = weight(_activity(self._W, x))
             self.flops.activity += FlopCounter.activity_flops(k, f)
             np.multiply(((1.0 - alpha) * phi)[:, None, None, None], outer, out=self._U_next)
             self._U_next += decayed
@@ -452,3 +421,8 @@ class OnlineAuxIva:
                 self._step(idx)
         self._U, self._U_next = self._U_next, self._U
         return _demix(self._W, x).T
+
+    def project(self, y: np.ndarray) -> np.ndarray:
+        """Back-project the frame just processed onto microphone 1:
+        :func:`project_back` with the current demixing matrices."""
+        return project_back(self.demix, y)

@@ -7,11 +7,8 @@ they share no code path with the vectorised engine they check.
 import numpy as np
 
 
-def weight_fn(kind: str, r: float, n_bins: int, r_floor: float) -> float:
-    r = max(r, r_floor)
-    if kind == "laplace":
-        return 0.5 / r
-    return n_bins / r**2
+def weight_fn(r: float, r_floor: float) -> float:
+    return 0.5 / max(r, r_floor)
 
 
 def online_frame_reference(
@@ -22,7 +19,6 @@ def online_frame_reference(
     n_iter: int,
     indices,
     method: str,
-    kind: str = "laplace",
     r_floor: float = 1e-8,
 ):
     """One frame of the online update loop, transcribed literally.
@@ -40,7 +36,7 @@ def online_frame_reference(
             acc = 0.0
             for f in range(n_bins):
                 acc += abs(W[f][k] @ x[f]) ** 2
-            phi = weight_fn(kind, float(np.sqrt(acc)), n_bins, r_floor)
+            phi = weight_fn(float(np.sqrt(acc)), r_floor)
             for f in range(n_bins):
                 blended = alpha * U_prev[k][f] + (1.0 - alpha) * phi * np.outer(
                     x[f], np.conj(x[f])
@@ -68,7 +64,7 @@ def online_frame_reference(
     return y, np.stack(W), U_cur
 
 
-def batch_covariance_reference(data, W, kind: str, r_floor: float = 1e-8):
+def batch_covariance_reference(data, W, r_floor: float = 1e-8):
     """Literal loop transcription of the batch weighted covariance.
 
     ``data`` is a (K, T, F) spectrogram array; returns (K, F, K, K).
@@ -82,21 +78,21 @@ def batch_covariance_reference(data, W, kind: str, r_floor: float = 1e-8):
     for k in range(n_src):
         for t in range(n_frames):
             r = max(np.sqrt(np.sum(np.abs(y[k, t]) ** 2)), r_floor)
-            phi = weight_fn(kind, float(r), n_bins, r_floor)
+            phi = weight_fn(float(r), r_floor)
             for f in range(n_bins):
                 U[k, f] += phi * np.outer(data[:, t, f], np.conj(data[:, t, f]))
     return U / n_frames
 
 
-def cost_reference(data, W, kind: str, n_bins: int, r_floor: float = 1e-8):
-    """Literal transcription of the separation cost."""
-    n_src, n_frames, _ = data.shape
+def cost_reference(data, W, r_floor: float = 1e-8):
+    """Literal transcription of the separation cost (Laplace prior)."""
+    n_src, n_frames, n_bins = data.shape
     total = 0.0
     for k in range(n_src):
         for t in range(n_frames):
             y = [W[f][k] @ data[:, t, f] for f in range(n_bins)]
             r = max(np.sqrt(sum(abs(v) ** 2 for v in y)), r_floor)
-            total += (r if kind == "laplace" else 2 * n_bins * np.log(r)) / n_frames
+            total += r / n_frames
     for f in range(n_bins):
         total -= 2.0 * np.log(abs(np.linalg.det(W[f])))
     return total

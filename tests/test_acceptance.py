@@ -76,8 +76,8 @@ def test_criterion_01_batch_iss_equivalence(rng):
         spec, _ = super_gaussian_spectrogram(rng, 3, 64, 8, mixing=mixing)
         start = time.perf_counter()
         for sweeps in range(1, 11):
-            a = batch_auxiva(BatchProblem(spec, "laplace", n_iter=sweeps), "iss")
-            b = batch_auxiva(BatchProblem(spec, "laplace", n_iter=sweeps), "iss_inplace")
+            a = batch_auxiva(BatchProblem(spec, n_iter=sweeps), "iss")
+            b = batch_auxiva(BatchProblem(spec, n_iter=sweeps), "iss_inplace")
             scale = np.max(np.abs(a.separated.data))
             assert np.max(np.abs(a.separated.data - b.separated.data)) <= 1e-8 * scale
         assert time.perf_counter() - start < 60.0
@@ -90,7 +90,7 @@ def test_criterion_02_monotone_surrogate_descent():
             mixing = rng.standard_normal((2, 2)) + 2 * np.eye(2)
             spec, _ = super_gaussian_spectrogram(rng, 2, 48, 6, mixing=mixing)
             for method in ("ip", "iss"):
-                trace = batch_auxiva(BatchProblem(spec, "laplace", n_iter=6), method).cost_trace
+                trace = batch_auxiva(BatchProblem(spec, n_iter=6), method).cost_trace
                 assert np.all(np.diff(trace) <= 1e-9)
 
 

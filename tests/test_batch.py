@@ -25,14 +25,13 @@ class TestCost:
     def test_identity_demixing_matches_reference(self, rng):
         spec, _ = super_gaussian_spectrogram(rng, 2, 12, 4)
         w = np.tile(np.eye(2, dtype=complex), (4, 1, 1))
-        for kind in ("laplace", "gauss"):
-            expected = cost_reference(spec.data, w, kind, 4)
-            assert cost(w, spec, kind) == pytest.approx(expected, rel=1e-12)
+        expected = cost_reference(spec.data, w)
+        assert cost(w, spec) == pytest.approx(expected, rel=1e-12)
 
     def test_scalar_case(self):
         spec = Spectrogram(np.full((1, 1, 1), 2.0 + 0.0j))
         w = np.ones((1, 1, 1), dtype=complex)
-        assert cost(w, spec, "laplace") == pytest.approx(2.0)
+        assert cost(w, spec) == pytest.approx(2.0)
 
     def test_scaling_relation(self, rng):
         # J(cW) = c * data_term - 2 F K log c + logdet term
@@ -40,17 +39,17 @@ class TestCost:
         spec, _ = super_gaussian_spectrogram(rng, n_src, n_frames, n_bins)
         w = random_complex(rng, n_bins, n_src, n_src) + 2 * np.eye(n_src)
         scale = 1.7
-        base = cost(w, spec, "laplace")
+        base = cost(w, spec)
         sign, logdet = np.linalg.slogdet(w)
         data_term = base + 2.0 * logdet.sum()
         expected = scale * data_term - 2.0 * (logdet.sum() + n_bins * n_src * np.log(scale))
-        assert cost(scale * w, spec, "laplace") == pytest.approx(expected, rel=1e-10)
+        assert cost(scale * w, spec) == pytest.approx(expected, rel=1e-10)
 
     def test_singular_demixing_rejected(self, rng):
         spec, _ = super_gaussian_spectrogram(rng, 2, 8, 3)
         w = np.zeros((3, 2, 2), dtype=complex)
         with pytest.raises(DegenerateUpdateError) as excinfo:
-            cost(w, spec, "laplace")
+            cost(w, spec)
         assert excinfo.value.indices == (0, 1, 2)
 
 
@@ -60,7 +59,7 @@ class TestBatchWeightedCovariance:
         spec = Spectrogram(data)
         # with T = 1 the covariance is phi * x x^H; divide the weight out
         w = np.tile(np.eye(2, dtype=complex), (1, 1, 1))
-        u = batch_weighted_covariance(spec, w, "laplace")[0, 0]
+        u = batch_weighted_covariance(spec, w)[0, 0]
         x = data[:, 0, 0]
         r = np.linalg.norm(x[0])
         np.testing.assert_allclose(u, 0.5 / r * np.outer(x, np.conj(x)), rtol=1e-12)
@@ -72,14 +71,14 @@ class TestBatchWeightedCovariance:
         data[0] = 1.0
         spec = Spectrogram(data)
         w = np.tile(np.eye(2, dtype=complex), (1, 1, 1))
-        u = batch_weighted_covariance(spec, w, "laplace")[0, 0]
+        u = batch_weighted_covariance(spec, w)[0, 0]
         np.testing.assert_allclose(u, [[0.5, 0.0], [0.0, 0.0]], atol=1e-15)
 
     def test_matches_loop_transcription(self, rng):
         spec, _ = super_gaussian_spectrogram(rng, 3, 9, 4)
         w = random_complex(rng, 4, 3, 3) + 2 * np.eye(3)
-        u = batch_weighted_covariance(spec, w, "laplace")
-        reference = batch_covariance_reference(spec.data, w, "laplace")
+        u = batch_weighted_covariance(spec, w)
+        reference = batch_covariance_reference(spec.data, w)
         np.testing.assert_allclose(u, reference, atol=1e-14)
 
 
@@ -96,7 +95,7 @@ class TestBatchAuxiva:
         activity = np.sqrt(np.sum(np.abs(data) ** 2, axis=2))
         data = data * (2.0 * n_bins / activity.mean(axis=1))[:, None, None]
         spec = Spectrogram(data)
-        result = batch_auxiva(BatchProblem(spec, "laplace", n_iter=6), "iss")
+        result = batch_auxiva(BatchProblem(spec, n_iter=6), "iss")
         decreases = -np.diff(result.cost_trace)
         assert np.all(decreases[3:] < 1e-6)
 
@@ -105,7 +104,7 @@ class TestBatchAuxiva:
         rng = np.random.default_rng(11)
         mixing = np.array([[1.0, 0.6], [-0.5, 1.0]])
         spec, _ = super_gaussian_spectrogram(rng, 2, 2000, 64, mixing=mixing)
-        result = batch_auxiva(BatchProblem(spec, "laplace", n_iter=12), method)
+        result = batch_auxiva(BatchProblem(spec, n_iter=12), method)
         gain = result.demix @ mixing  # (F, K, K), should be permuted diagonal
         gain /= np.max(np.abs(gain), axis=2, keepdims=True)
         for f in range(gain.shape[0]):
@@ -121,15 +120,15 @@ class TestBatchAuxiva:
         spec, _ = super_gaussian_spectrogram(
             rng, 2, 60, 8, mixing=rng.standard_normal((2, 2)) + 2 * np.eye(2)
         )
-        result = batch_auxiva(BatchProblem(spec, "laplace", n_iter=8), method)
+        result = batch_auxiva(BatchProblem(spec, n_iter=8), method)
         assert np.all(np.diff(result.cost_trace) <= 1e-9)
 
     def test_iss_variants_agree(self, rng):
         mixing = rng.standard_normal((3, 3)) + 2 * np.eye(3)
         spec, _ = super_gaussian_spectrogram(rng, 3, 64, 8, mixing=mixing)
         for sweeps in (1, 4, 10):
-            a = batch_auxiva(BatchProblem(spec, "laplace", n_iter=sweeps), "iss")
-            b = batch_auxiva(BatchProblem(spec, "laplace", n_iter=sweeps), "iss_inplace")
+            a = batch_auxiva(BatchProblem(spec, n_iter=sweeps), "iss")
+            b = batch_auxiva(BatchProblem(spec, n_iter=sweeps), "iss_inplace")
             scale = np.max(np.abs(a.separated.data))
             assert np.max(np.abs(a.separated.data - b.separated.data)) <= 1e-8 * scale
             np.testing.assert_allclose(a.cost_trace, b.cost_trace, rtol=1e-8)
@@ -137,33 +136,20 @@ class TestBatchAuxiva:
     def test_ip_and_iss_reach_similar_cost(self, rng):
         mixing = rng.standard_normal((2, 2)) + 2 * np.eye(2)
         spec, _ = super_gaussian_spectrogram(rng, 2, 500, 16, mixing=mixing)
-        ip = batch_auxiva(BatchProblem(spec, "laplace", n_iter=30), "ip")
-        iss = batch_auxiva(BatchProblem(spec, "laplace", n_iter=30), "iss")
+        ip = batch_auxiva(BatchProblem(spec, n_iter=30), "ip")
+        iss = batch_auxiva(BatchProblem(spec, n_iter=30), "iss")
         assert abs(ip.cost_trace[-1] - iss.cost_trace[-1]) < 1.0
-
-    def test_inplace_requires_laplace(self, rng):
-        spec, _ = super_gaussian_spectrogram(rng, 2, 16, 4)
-        with pytest.raises(ContractViolationError):
-            batch_auxiva(BatchProblem(spec, "gauss"), "iss_inplace")
 
     def test_too_few_frames_rejected(self, rng):
         spec = Spectrogram(random_complex(rng, 3, 2, 4))
         with pytest.raises(ContractViolationError):
-            BatchProblem(spec, "laplace")
-
-    def test_gauss_model_is_monotone_for_matrix_methods(self, rng):
-        spec, _ = super_gaussian_spectrogram(
-            rng, 2, 60, 8, mixing=rng.standard_normal((2, 2)) + 2 * np.eye(2)
-        )
-        for method in ("ip", "iss"):
-            result = batch_auxiva(BatchProblem(spec, "gauss", n_iter=6), method)
-            assert np.all(np.diff(result.cost_trace) <= 1e-9)
+            BatchProblem(spec)
 
     @pytest.mark.parametrize("method", ["iss", "ip"])
     def test_sweep_error_keeps_its_context(self, rng, method):
         data = random_complex(rng, 2, 40, 5)
         data[:, :, 3] = 0.0  # bin 3 has zero covariance for every source
-        problem = BatchProblem(Spectrogram(data), "laplace")
+        problem = BatchProblem(Spectrogram(data))
         with pytest.raises(DegenerateUpdateError) as excinfo:
             batch_auxiva(problem, method)
         assert str(excinfo.value).startswith("sweep 1: ")
