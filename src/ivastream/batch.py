@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ContractViolationError, DegenerateUpdateError, check_bins
+from .errors import ContractViolationError, DegenerateUpdateError, check_bins, check_number
 from .separator import R_FLOOR, ip_update_row, iss_apply, iss_vector, weight
 from .stft import Spectrogram
 
@@ -43,8 +43,7 @@ class BatchProblem:
             raise ContractViolationError(
                 "need at least as many frames as channels to estimate covariances"
             )
-        if self.n_iter < 1:
-            raise ContractViolationError("n_iter must be >= 1")
+        check_number("n_iter", self.n_iter, 1)
 
 
 @dataclass

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.io import wavfile
 
 from . import metrics, scenario
-from .errors import ContractViolationError, DegenerateUpdateError
+from .errors import ContractViolationError, DegenerateUpdateError, check_number
 from .scenario import ScenarioConfig
 from .separator import OnlineAuxIva, OnlineConfig, UpdateSchedule
 from .stft import Spectrogram, StftConfig, analyze, synthesize
@@ -282,8 +282,8 @@ def _scenario_from_args(args) -> ScenarioConfig:
         move_source = None if move_raw.lower() in ("none", "0", "") else int(move_raw)
     except ValueError as exc:
         raise ContractViolationError(f"move_source must be a 1-based index or 'none', got {move_raw!r}") from exc
-    if move_source is not None and not 1 <= move_source <= args.sources:
-        raise ContractViolationError(f"move_source {move_source} out of range 1..{args.sources}")
+    if move_source is not None:
+        check_number("--move-source", move_source, 1, args.sources + 1)
     move_time_s = args.duration_s / 2.0 if args.move_time_s is None else args.move_time_s
     return ScenarioConfig(
         n_src=args.sources,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, check_number
 from .scenario import GroundTruth
 
 CAP_DB = 100.0
@@ -63,8 +63,7 @@ class SegmentedSdr:
 
 def check_segment_len(n_samples: int, segment_len: int) -> None:
     """Signals of ``n_samples`` samples must hold at least one segment."""
-    if segment_len <= 0:
-        raise ContractViolationError("segment_len must be positive")
+    check_number("segment_len", segment_len, 1)
     if n_samples < segment_len:
         raise ContractViolationError(f"signals of length {n_samples} are shorter than one segment ({segment_len})")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, check_number
 
 #: Mixing columns whose first-microphone gain falls below this are
 #: rejected when sampling random matrices, so every source stays audible
@@ -55,11 +55,7 @@ class ScenarioConfig:
     move_time_s: float | None = None
 
     def __post_init__(self):
-        if self.n_src < 1:
-            raise ContractViolationError("n_src must be >= 1")
-        if self.sample_rate <= 0:
-            raise ContractViolationError("sample_rate must be positive")
-        _sample_count(self.duration_s, self.sample_rate)
+        _signal_samples(self.n_src, self.duration_s, self.sample_rate, self.seed)
         if self.mixing_mode not in ("instantaneous", "convolutive"):
             raise ContractViolationError(f"unknown mixing mode {self.mixing_mode!r}")
         if self.mixing_mode == "convolutive" and _fir_len(self.sample_rate) < DIRECT_PATH_TAPS:
@@ -69,10 +65,9 @@ class ScenarioConfig:
             )
         if (self.move_source is None) != (self.move_time_s is None):
             raise ContractViolationError("move_source and move_time_s must be set together")
-        if self.move_time_s is not None and not 0.0 < self.move_time_s < self.duration_s:
-            raise ContractViolationError("move_time_s must lie strictly inside the duration")
-        if self.move_source is not None and not 0 <= self.move_source < self.n_src:
-            raise ContractViolationError("move_source out of range")
+        if self.move_source is not None:
+            check_number("move_source", self.move_source, 0, self.n_src)
+            check_number("move_time_s", self.move_time_s, np.finfo(float).tiny, self.duration_s, integer=False)
 
 
 @dataclass
@@ -94,12 +89,15 @@ class GroundTruth:
         return self.images[:, 0, :]
 
 
-def _sample_count(duration_s: float, sample_rate: int) -> int:
-    n = duration_s * sample_rate
+def _signal_samples(n_src: int, duration_s: float, sample_rate: int, seed: int) -> int:
+    """Check the four settings of a set of source signals; return its sample count."""
+    check_number("n_src", n_src, 1)
+    check_number("seed", seed, 0)
+    check_number("sample_rate", sample_rate, 1)
+    check_number("duration_s", duration_s, 0, integer=False)
+    n = float(duration_s) * float(sample_rate)  # a Python float overflows to inf without a warning
     if not (np.isfinite(n) and round(n) >= 1):
-        raise ContractViolationError(
-            f"duration_s must be finite and hold at least one sample, got {duration_s}"
-        )
+        raise ContractViolationError(f"duration_s must span a finite count of at least one sample, got {duration_s}")
     return int(round(n))
 
 
@@ -117,7 +115,7 @@ def _smooth_envelope(rng: np.random.Generator, n: int, sample_rate: int) -> np.n
 
 def synth_sources(n_src: int, duration_s: float, sample_rate: int = 16000, seed: int = 0) -> np.ndarray:
     """Independent super-Gaussian test signals, unit RMS, seed-deterministic."""
-    n = _sample_count(duration_s, sample_rate)
+    n = _signal_samples(n_src, duration_s, sample_rate, seed)
     rng = np.random.default_rng([seed, 0])
     out = np.empty((n_src, n))
     for k in range(n_src):

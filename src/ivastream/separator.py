@@ -56,13 +56,12 @@ share their leading axes; a mismatch is a :class:`ContractViolationError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import ContractViolationError, check_bins
+from .errors import ContractViolationError, check_bins, check_number
 
 #: Denominator floor for the ISS coefficient ratios.
 DENOMINATOR_FLOOR = 1e-32
@@ -75,6 +74,9 @@ INIT_COVARIANCE_SCALE = 1e-3
 
 #: Activity floor: the weight 1/(2r) diverges at r = 0.
 R_FLOOR = 1e-8
+
+#: Largest accepted frame energy sum |x|^2, so no product of two entries of x x^H overflows.
+ENERGY_CEILING = float(np.sqrt(np.finfo(np.float64).max))
 
 
 def weight(r):
@@ -104,13 +106,12 @@ class UpdateSchedule:
     @classmethod
     def switch_to(cls, n_src: int, moving: int | Sequence[int], switch_frame: int) -> "UpdateSchedule":
         """All sources up to ``switch_frame``, then only the moving one(s)."""
-        if switch_frame < 1:
-            raise ContractViolationError(f"switch_frame is 1-based, got {switch_frame}")
-        after = (moving,) if isinstance(moving, int) else tuple(moving)
+        check_number("switch_frame (1-based)", switch_frame, 1)
+        after = tuple(moving) if np.iterable(moving) else (moving,)
         if not after:
-            raise ContractViolationError("the post-switch update set must be nonempty")
-        if any(not 0 <= k < n_src for k in after):
-            raise ContractViolationError(f"moving source indices {after} out of range")
+            raise ContractViolationError("moving must name at least one source")
+        for k in after:
+            check_number("moving", k, 0, n_src)
         return cls(before=tuple(range(n_src)), after=after, switch_frame=int(switch_frame))
 
     def indices(self, t: int) -> tuple[int, ...]:
@@ -135,13 +136,12 @@ class OnlineConfig:
     selector: Callable[[int], Sequence[int]] | None = None
 
     def __post_init__(self):
-        alpha, n_iter = self.alpha, self.n_iter
-        if isinstance(alpha, bool) or not isinstance(alpha, Real) or not 0.0 <= alpha < 1.0:
-            raise ContractViolationError(f"alpha must be a real number in [0, 1), got {alpha!r}")
-        if isinstance(n_iter, bool) or not isinstance(n_iter, Integral) or n_iter < 1:
-            raise ContractViolationError(f"n_iter must be an integer >= 1, got {n_iter!r}")
+        check_number("alpha", self.alpha, 0, 1, integer=False)
+        check_number("n_iter", self.n_iter, 1)
         if self.method not in ("ip", "iss"):
             raise ContractViolationError(f"method must be 'ip' or 'iss', got {self.method!r}")
+        if self.selector is not None and not callable(self.selector):
+            raise ContractViolationError(f"selector must be None or callable, got {self.selector!r}")
 
 
 @dataclass
@@ -240,6 +240,7 @@ def ip_update_row(W: np.ndarray, U_k: np.ndarray, k: int) -> np.ndarray:
     ``w^H U_k w`` is nonpositive.
     """
     _check_shape("U_k", U_k, np.shape(W))
+    check_number("k", k, 0, np.shape(W)[-1])
     z, ok = _masked_ip_vector(_matrices_last(W), _matrices_last(U_k), k)
     check_bins(ok, f"singular solve or nonpositive quadratic form in IP update for source {k}")
     return np.moveaxis(z, 0, -1)
@@ -267,6 +268,7 @@ def iss_vector(W: np.ndarray, U_all: np.ndarray, k: int) -> np.ndarray:
     naming the bins with a nonpositive denominator or vanishing ``1 - v_k``.
     """
     _check_shape("U_all", U_all, np.shape(W)[-1:] + np.shape(W))
+    check_number("k", k, 0, np.shape(W)[-1])
     U_all = np.moveaxis(np.asarray(U_all, dtype=np.complex128), (-2, -1), (1, 2))
     v, ok = _masked_iss_vector(_matrices_last(W), np.ascontiguousarray(U_all), k)
     check_bins(ok, f"nonpositive denominator in ISS coefficients for source {k}")
@@ -302,6 +304,7 @@ def iss_apply(W: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
     naming the bins where ``|1 - v_k|`` vanishes, which would make W singular.
     """
     _check_shape("v", v, np.shape(W)[:-1])
+    check_number("k", k, 0, np.shape(W)[-1])
     v = np.asarray(v, dtype=np.complex128)
     if not np.all(np.isfinite(v)):
         raise ContractViolationError("steering coefficients must be finite")
@@ -340,8 +343,8 @@ class OnlineAuxIva:
     """
 
     def __init__(self, n_bins: int, n_src: int, config: OnlineConfig = OnlineConfig()) -> None:
-        if n_bins < 1 or n_src < 1:
-            raise ContractViolationError("n_bins and n_src must be >= 1")
+        check_number("n_bins", n_bins, 1)
+        check_number("n_src", n_src, 1)
         self.n_bins = int(n_bins)
         self.n_src = int(n_src)
         self.config = config
@@ -391,16 +394,16 @@ class OnlineAuxIva:
 
         Frame t (1-based) runs ``n_iter`` passes if the selector names an
         index at t, else one covariance refresh pass, and persists the last
-        pass's covariance.  Its shape, a finite energy sum |x|^2 and its
-        indices are checked first: a frame they reject leaves the engine,
-        clock included, as it was.
+        pass's covariance.  Its shape, an energy sum |x|^2 of at most
+        :data:`ENERGY_CEILING` and its indices are checked first: a frame
+        they reject leaves the engine, clock included, as it was.
         """
         x = np.asarray(frame, dtype=np.complex128)
         k, f = self.n_src, self.n_bins
         if x.shape != (f, k):
             raise ContractViolationError(f"frame must have shape ({f}, {k}), got {x.shape}")
-        if not np.isfinite(np.vdot(x, x).real):  # also a sample whose square overflows
-            raise ContractViolationError("frame has non-finite entries or energy")
+        if not np.vdot(x, x).real <= ENERGY_CEILING:  # also rejects NaN
+            raise ContractViolationError(f"frame has non-finite entries or energy above {ENERGY_CEILING:.3g}")
         indices = tuple(self._indices_at(self._t + 1))
         if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < k
                    for i in indices):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, check_number
 
 
 @dataclass(frozen=True)
@@ -25,12 +25,10 @@ class StftConfig:
     sample_rate: int = 16000
 
     def __post_init__(self):
-        if self.frame_len <= 0 or self.frame_len & (self.frame_len - 1):
-            raise ContractViolationError(
-                f"frame_len must be a positive power of two, got {self.frame_len}"
-            )
-        if self.sample_rate <= 0:
-            raise ContractViolationError("sample_rate must be positive")
+        check_number("frame_len", self.frame_len, 2)
+        if self.frame_len & (self.frame_len - 1):
+            raise ContractViolationError(f"frame_len must be a power of two, got {self.frame_len}")
+        check_number("sample_rate", self.sample_rate, 1)
 
     @property
     def hop(self) -> int:
@@ -122,10 +120,7 @@ def synthesize(spec: Spectrogram, cfg: StftConfig = StftConfig(), n_samples: int
     available = n_frames * hop
     if n_samples is None:
         n_samples = (n_frames - 1) * hop
-    if not 0 < n_samples <= available:
-        raise ContractViolationError(
-            f"requested {n_samples} samples but only {available} are covered"
-        )
+    check_number("n_samples", n_samples, 1, available + 1)
     window = cfg.window_samples()
     frames = np.fft.irfft(spec.data, n=cfg.frame_len, axis=-1)
     frames *= window

@@ -207,6 +207,9 @@ class TestSeparateAndEvaluate:
 
 CONTRACT_VIOLATIONS = {
     "frame_len_not_power_of_two": ("separate", "{mix}", "--frame-len", "1000"),
+    "frame_len_1": ("separate", "{mix}", "--frame-len", "1"),
+    "negative_seed_simulate": ("simulate", "--seed", "-1"),
+    "negative_seed_demo": ("demo", "--seed", "-1"),
     "switch_before_frame_1": ("separate", "{mix}", "--selector", "one:2:-5"),
     "missing_manifest": ("separate", "{mix}", "--manifest", "{tmp}/absent.json"),
     "malformed_manifest": ("separate", "{mix}", "--manifest", "{bad}"),
@@ -315,6 +318,7 @@ def test_contract_violation_exits_2(case, scenario_dir, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert NAMED_KEYS.get(case, "") in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestMovingExperiment:

@@ -496,13 +496,16 @@ class TestEngine:
         assert all(not np.array_equal(engine.demix[f], before[f]) for f in good)
         assert engine.diagnostics.counts == {f"{method}_degenerate": bad.size * len(updated)}
 
-    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
+    @pytest.mark.parametrize(
+        "bad_value", [np.nan, np.inf, 1e200, 1.3e154, 1e150],
+        ids=["nan", "inf", "overflow", "energy_overflows_max", "energy_above_ceiling"],
+    )
     @pytest.mark.parametrize("method", ["iss", "ip"])
     def test_rejected_frame_leaves_state_unchanged(self, rng, method, bad_value):
-        # a frame with a non-finite bin, or one whose energy overflows, is
-        # rejected on entry: the engine
-        # keeps the last completed frame's state and clock, and the stream
-        # goes on adapting with no degenerate bin
+        # a frame with a non-finite bin, or one whose energy passes
+        # ENERGY_CEILING, is rejected on entry: the engine keeps the last
+        # completed frame's state and clock, and the stream goes on adapting
+        # with no degenerate bin
         n_bins, n_src = 9, 3
         engine = OnlineAuxIva(n_bins, n_src, OnlineConfig(method=method))
         frames = self.frames(rng, 51, n_bins, n_src)
@@ -521,6 +524,15 @@ class TestEngine:
         assert np.all(np.isfinite(engine.covariance))
         assert engine.diagnostics.counts == {}
 
+    @pytest.mark.parametrize("method", ["iss", "ip"])
+    def test_loud_frame_accepted(self, rng, method):
+        # the ceiling sits far above any recording: a 1e6 sample is taken
+        engine = OnlineAuxIva(9, 3, OnlineConfig(method=method))
+        x = self.frames(rng, 1, 9, 3)[0]
+        x[4, 1] = 1e6
+        assert np.all(np.isfinite(engine.process_frame(x)))
+        assert engine._t == 1
+
     def test_alpha_outside_unit_interval_rejected(self):
         with pytest.raises(ContractViolationError):
             OnlineConfig(alpha=1.0)
@@ -528,8 +540,8 @@ class TestEngine:
             OnlineConfig(alpha=-0.1)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"n_iter": 2.5}, {"n_iter": "2"}, {"n_iter": True}, {"alpha": "0.5"}],
-        ids=["float_n_iter", "str_n_iter", "bool_n_iter", "str_alpha"],
+        "kwargs", [{"n_iter": 2.5}, {"n_iter": "2"}, {"n_iter": True}, {"alpha": "0.5"}, {"selector": 3}],
+        ids=["float_n_iter", "str_n_iter", "bool_n_iter", "str_alpha", "int_selector"],
     )
     def test_config_types_checked(self, kwargs):
         with pytest.raises(ContractViolationError, match=f"{next(iter(kwargs))} must be"):
