@@ -96,8 +96,9 @@ def _signal_samples(n_src: int, duration_s: float, sample_rate: int, seed: int) 
     check_number("sample_rate", sample_rate, 1)
     check_number("duration_s", duration_s, 0, integer=False)
     n = float(duration_s) * float(sample_rate)  # a Python float overflows to inf without a warning
-    if not (np.isfinite(n) and round(n) >= 1):
-        raise ContractViolationError(f"duration_s must span a finite count of at least one sample, got {duration_s}")
+    most = np.iinfo(np.intp).max // (8 * int(n_src))  # the longest (n_src, n) float64 array numpy can make
+    if not (np.isfinite(n) and 1 <= round(n) <= most):
+        raise ContractViolationError(f"duration_s must span 1 to {most} samples at {n_src} sources, got {duration_s}")
     return int(round(n))
 
 

@@ -417,7 +417,8 @@ class OnlineAuxIva:
         for _ in range(passes):
             phi = weight(_activity(self._W, x))
             self.flops.activity += FlopCounter.activity_flops(k, f)
-            np.multiply(((1.0 - alpha) * phi)[:, None, None, None], outer, out=self._U_next)
+            coef = ((1.0 - alpha) * phi).astype(np.complex128)  # real-by-complex is numpy's slow path
+            np.multiply(coef[:, None, None, None], outer, out=self._U_next)
             self._U_next += decayed
             self.flops.covariance += k * FlopCounter.covariance_flops(k, f)
             for idx in indices:

@@ -2,10 +2,14 @@
 
 The front end is fixed to a periodic (DFT-even) Hamming window at 50%
 overlap.  Signals are zero-padded by half a frame on both sides so every
-original sample is fully covered by analysis frames.  Synthesis builds each
-hop-long segment from the two frame halves that cover it and divides by
-their squared-window envelope, which makes the round trip exact (well below
-the documented 1e-6 tolerance) at every original sample.
+original sample is fully covered by analysis frames.  Both transforms run
+over fixed blocks of frames, so besides its result (and, in analysis, the
+padded input) each holds one block of frames at a time.  Synthesis builds
+each hop-long segment from the two frame halves that cover it and divides by
+their squared-window envelope.  At 50% overlap that envelope is periodic:
+one fixed vector ``w[hop:]**2 + w[:hop]**2`` for every segment but the last,
+which has only ``w[hop:]**2``.  The round trip is exact (well below the
+documented 1e-6 tolerance) at every original sample.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, check_number
+
+_BLOCK_FRAMES = 64  # frames per transform block: bounds the working set, not the result
 
 
 @dataclass(frozen=True)
@@ -99,7 +105,10 @@ def analyze(signal, cfg: StftConfig = StftConfig()) -> Spectrogram:
     padded = np.pad(sig, ((0, 0), (cfg.hop, cfg.hop)))
     frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.frame_len, axis=1)
     frames = frames[:, :: cfg.hop, :]
-    data = np.fft.rfft(frames * cfg.window_samples(), axis=-1)
+    window = cfg.window_samples()
+    data = np.empty(frames.shape[:2] + (cfg.n_bins,), dtype=np.complex128)
+    for a in range(0, frames.shape[1], _BLOCK_FRAMES):
+        data[:, a : a + _BLOCK_FRAMES] = np.fft.rfft(frames[:, a : a + _BLOCK_FRAMES] * window, axis=-1)
     return Spectrogram(data)
 
 
@@ -122,13 +131,16 @@ def synthesize(spec: Spectrogram, cfg: StftConfig = StftConfig(), n_samples: int
         n_samples = (n_frames - 1) * hop
     check_number("n_samples", n_samples, 1, available + 1)
     window = cfg.window_samples()
-    frames = np.fft.irfft(spec.data, n=cfg.frame_len, axis=-1)
-    frames *= window
     # padded segment s = 1..T: second half of frame s-1 plus first half of frame s
-    out = frames[..., hop:].copy()
-    out[:, :-1] += frames[:, 1:, :hop]
+    out = np.empty((spec.n_channels, n_frames, hop))
+    for a in range(0, n_frames, _BLOCK_FRAMES):
+        frames = np.fft.irfft(spec.data[:, a : a + _BLOCK_FRAMES], n=cfg.frame_len, axis=-1)
+        frames *= window
+        out[:, a : a + _BLOCK_FRAMES] = frames[..., hop:]
+        # a block's first frame completes the last segment of the block before
+        lo = max(a - 1, 0)
+        out[:, lo : a + frames.shape[1] - 1] += frames[:, lo + 1 - a :, :hop]
     w2 = window * window
-    env = np.tile(w2[hop:], (n_frames, 1))
-    env[:-1] += w2[:hop]
-    out /= env  # the Hamming window is >= 0.08, so env never vanishes
+    out[:, :-1] /= w2[hop:] + w2[:hop]  # the Hamming window is >= 0.08, so no envelope vanishes
+    out[:, -1] /= w2[hop:]
     return out.reshape(spec.n_channels, available)[:, :n_samples]

@@ -1,7 +1,16 @@
 """Shared helpers for the test suite."""
 
+import warnings
+
 import numpy as np
 import pytest
+
+# hypothesis prints a failing example with a patch built by libcst, whose
+# import raises a DeprecationWarning; under filterwarnings = ["error"] that
+# ends the run with INTERNALERROR instead of the example.  Import it once here.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def random_complex(rng, *shape) -> np.ndarray:

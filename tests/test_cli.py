@@ -233,6 +233,7 @@ CONTRACT_VIOLATIONS = {
     "nan_duration": ("simulate", "--duration-s", "nan", "--move-source", "none"),
     "infinite_duration": ("simulate", "--duration-s", "inf", "--move-source", "none"),
     "duration_below_one_sample": ("simulate", "--duration-s", "1e-5"),
+    "duration_beyond_any_array": ("simulate", "--duration-s", "1e300"),
     "nan_switch_time": ("separate", "{mix}", "--selector", "one:1:nans"),
     "infinite_switch_time": ("separate", "{mix}", "--selector", "one:1:infs"),
     "stereo_8khz_estimates": (

@@ -145,6 +145,15 @@ class TestConfigValidation:
         with pytest.raises(ContractViolationError):
             synth_sources(2, duration_s)
 
+    @pytest.mark.parametrize("duration_s", [1e300, 2.0**60])
+    def test_duration_beyond_any_array_rejected(self, duration_s):
+        # one source at 1 Hz: a float64 array holds at most 2**60 - 1 samples
+        with pytest.raises(ContractViolationError, match="duration_s"):
+            ScenarioConfig(n_src=1, duration_s=duration_s, sample_rate=1)
+        with pytest.raises(ContractViolationError, match="duration_s"):
+            synth_sources(1, duration_s, sample_rate=1)
+        ScenarioConfig(n_src=1, duration_s=2.0**59, sample_rate=1)  # checked, never allocated
+
     @pytest.mark.parametrize("sample_rate", [10, 100, 400, 499])
     def test_echo_bank_shorter_than_direct_path_rejected(self, sample_rate):
         with pytest.raises(ContractViolationError, match="direct-path"):

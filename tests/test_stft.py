@@ -1,12 +1,18 @@
 """Analysis/synthesis contracts: framing, round trip, energy bookkeeping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ivastream.errors import ContractViolationError
-from ivastream.stft import Spectrogram, StftConfig, analyze, synthesize
+from ivastream.stft import _BLOCK_FRAMES, Spectrogram, StftConfig, analyze, synthesize
 
+from conftest import random_complex
 from oracles import ola_reference
+
+#: frame counts on both sides of one and two block boundaries
+BLOCK_EDGES = [_BLOCK_FRAMES - 1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 2 * _BLOCK_FRAMES + 1]
 
 
 @pytest.fixture
@@ -76,16 +82,48 @@ def test_round_trip_covers_edges_too(cfg, rng):
 @pytest.mark.parametrize("frame_len", [4, 256, 1024])
 def test_synthesis_matches_frame_loop_bitwise(rng, frame_len):
     cfg = StftConfig(frame_len=frame_len)
-    n = 3 * frame_len + frame_len // 4 + 1
-    spec = analyze(rng.standard_normal((2, n)), cfg)
-    frames = np.fft.irfft(spec.data, n=frame_len, axis=-1) * cfg.window_samples()
-    # original sample i sits at padded index hop + i
-    reference = ola_reference(frames, cfg.window_samples(), cfg.hop)[:, cfg.hop :]
-    covered = spec.n_frames * cfg.hop
-    assert reference.shape[1] == covered
-    for n_samples in (None, n, covered):
-        expected = reference[:, : (spec.n_frames - 1) * cfg.hop if n_samples is None else n_samples]
-        assert np.array_equal(synthesize(spec, cfg, n_samples=n_samples), expected)
+    for n_frames in (1, 7, *BLOCK_EDGES):
+        spec = Spectrogram(random_complex(rng, 2, n_frames, cfg.n_bins))
+        frames = np.fft.irfft(spec.data, n=frame_len, axis=-1) * cfg.window_samples()
+        # original sample i sits at padded index hop + i
+        reference = ola_reference(frames, cfg.window_samples(), cfg.hop)[:, cfg.hop :]
+        covered = n_frames * cfg.hop
+        assert reference.shape[1] == covered
+        for n_samples in (None, covered - cfg.hop // 2, covered):
+            length = (n_frames - 1) * cfg.hop if n_samples is None else n_samples
+            if length == 0:  # one frame has no default length
+                continue
+            rec = synthesize(spec, cfg, n_samples=n_samples)
+            assert rec.tobytes() == np.ascontiguousarray(reference[:, :length]).tobytes()
+
+
+@pytest.mark.parametrize("n_frames", [3, *BLOCK_EDGES])  # analyze makes at least 3 frames
+@pytest.mark.parametrize("frame_len", [4, 1024])
+def test_analysis_blocks_match_whole_array_bitwise(rng, frame_len, n_frames):
+    cfg = StftConfig(frame_len=frame_len)
+    signal = rng.standard_normal((2, (n_frames - 1) * cfg.hop + cfg.hop - 1))
+    padded = np.pad(signal, ((0, 0), (cfg.hop, cfg.hop)))
+    frames = np.lib.stride_tricks.sliding_window_view(padded, frame_len, axis=1)[:, :: cfg.hop]
+    spec = analyze(signal, cfg)
+    assert spec.n_frames == n_frames
+    assert spec.data.tobytes() == np.fft.rfft(frames * cfg.window_samples(), axis=-1).tobytes()
+
+
+def test_synthesis_working_set_does_not_grow_with_the_signal(rng):
+    cfg = StftConfig(frame_len=1024)
+    block_bytes = 2 * _BLOCK_FRAMES * cfg.frame_len * 8  # one block of real frames
+    extra = []
+    for n_frames in (4 * _BLOCK_FRAMES + 1, 16 * _BLOCK_FRAMES + 1):
+        spec = Spectrogram(random_complex(rng, 2, n_frames, cfg.n_bins))
+        tracemalloc.start()
+        try:
+            rec = synthesize(spec, cfg, n_samples=n_frames * cfg.hop)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - rec.nbytes)
+    assert extra[0] <= 3 * block_bytes
+    assert abs(extra[1] - extra[0]) <= 3 * block_bytes
 
 
 def test_synthesis_length_bounds(cfg, rng):
