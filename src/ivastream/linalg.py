@@ -10,13 +10,13 @@ partial-pivot LU kernels :func:`lu_factor` and :func:`lu_solve` take and
 return bins-last stacks only: every step is elementwise numpy over
 length-B vectors, with loops and reductions over K only.  A row carries
 its scale and index through the pivot swaps, and the solve takes unit
-vectors only.  The LU exposes the pivot magnitudes needed for the
-near-singularity check; numpy's black-box solvers do not.
-:func:`hermitian_part` is the one symmetrisation behind every covariance
-the package builds, streaming and batch.
+vectors only, any number of them per factorisation.  The LU exposes the
+pivot magnitudes needed for the near-singularity check; numpy's black-box
+solvers do not.  :func:`hermitian_part` is the one symmetrisation behind
+every covariance the package builds, streaming and batch.
 
-``op_counter`` tallies how many matrices were solved/inverted since the
-last reset; the streaming ISS update path must leave it untouched."""
+``op_counter`` tallies the matrices factorised for solves and those inverted
+since the last reset; the streaming ISS update path must leave it untouched."""
 
 from __future__ import annotations
 
@@ -95,7 +95,7 @@ def lu_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lu, work[:, k + 1].real.astype(np.intp), ok
 
 
-def lu_solve(lu: np.ndarray, perm: np.ndarray, cols: list[int] | range) -> np.ndarray:
+def lu_solve(lu: np.ndarray, perm: np.ndarray, cols: list[int] | range | np.ndarray) -> np.ndarray:
     """Solve against the bins-last ``(lu, perm)`` of :func:`lu_factor` for
     the unit vectors ``e_c``, ``c`` in ``cols``; returns (K, len(cols), B).
     The permuted right-hand side is the one-hot ``perm == c``."""
@@ -110,9 +110,11 @@ def lu_solve(lu: np.ndarray, perm: np.ndarray, cols: list[int] | range) -> np.nd
     return x
 
 
-def masked_solve_unit(M, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Solve ``M z = e_k`` (``e_k`` the k-th canonical basis vector,
-    0-based) for a (stack of) square matrices; returns ``(z, ok)``.
+def masked_solve_unit(M, cols) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``M z = e_c`` (``e_c`` the c-th canonical basis vector, 0-based)
+    for a (stack of) square matrices, factorised once; returns ``(z, ok)``.
+    ``cols`` is one index, giving z of shape ``(..., K)``, or a sequence, giving
+    ``(..., K, len(cols))`` whose column j solves for ``e_cols[j]``.
 
     ``ok`` is False where the matrix is numerically singular, and entries
     of ``z`` there are unspecified.  Used by the streaming engine, whose
@@ -120,13 +122,15 @@ def masked_solve_unit(M, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     stack, batch_shape = _as_matrix_batch(M, "M")
     dim, nb = stack.shape[0], stack.shape[-1]
-    if not 0 <= k < dim:
-        raise ContractViolationError(f"source index {k} out of range for K={dim}")
+    idx = np.atleast_1d(cols)
+    if not all(0 <= c < dim for c in idx):
+        raise ContractViolationError(f"source index {cols} out of range for K={dim}")
     op_counter.solves += nb
     lu, perm, ok = lu_factor(stack)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = lu_solve(lu, perm, [k])[:, 0]
-    return np.moveaxis(z, 0, -1).reshape(*batch_shape, dim), ok.reshape(batch_shape)
+        z = lu_solve(lu, perm, idx)
+    z = np.moveaxis(z, -1, 0).reshape(*batch_shape, dim, idx.size)
+    return (z if np.ndim(cols) else z[..., 0]), ok.reshape(batch_shape)
 
 
 def inverse(M) -> np.ndarray:

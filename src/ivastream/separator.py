@@ -7,12 +7,13 @@ The engine processes one STFT frame at a time:
    once per frame:
        X_f   <- (x_f x_f^H + (x_f x_f^H)^H) / 2           (exactly Hermitian)
        B_k,f <- alpha * U_k,f[prev frame]                  for every source
+       A_f   <- W_f^{-1}             (IP only, if the frame names an index)
    for iter = 1..n_iter:              (1 pass when the schedule names no index)
        r_k   <- sqrt(sum_f |w_k^H x_f|^2)                 for every source
        U_k,f <- (1 - alpha) * phi(r_k) * X_f + B_k,f      for every source
        for k in the scheduled index set:
            ISS:  W_f <- W_f - v_k,f w_k,f^H   (rank-1, no solves)
-           IP:   row k of W_f <- normalised solve of (W_f U_k,f) w = e_k
+           IP:   row k of W_f <- w^H, w = U_k,f^{-1} a_k,f normalised; A_f rank-1
    persist the last pass's U; emit y_f = W_f x_f
 ```
 
@@ -25,9 +26,10 @@ Notes on conventions:
   vanishing ``1 - v_k``) the affected bins keep their previous demixing
   rows and :class:`DiagnosticsLog` counts them by kind; a streaming
   system must not halt on a transiently bad bin.
-* The ISS path performs no linear solves or inversions; back-projection
-  (the only inversion user) lives outside :meth:`OnlineAuxIva.process_frame`,
-  in :meth:`OnlineAuxIva.project`.
+* The ISS path performs no linear solves or inversions.  The IP path
+  factorises W once per frame, for A = W^{-1}, which its row updates keep
+  current.  Back-projection (the only inversion user) lives outside
+  :meth:`OnlineAuxIva.process_frame`, in :meth:`OnlineAuxIva.project`.
 * Both terms of the covariance refresh are exactly Hermitian, so every
   persisted covariance is too, bit for bit.  ``x x^H`` alone is not (the
   diagonal picks up an imaginary residue under fused multiply-add), hence
@@ -148,8 +150,9 @@ class OnlineConfig:
 class FlopCounter:
     """Analytic complex multiply-add counts, attributed per phase.
 
-    ``ip_update`` covers the full IP row update (matrix product, LU solve,
-    normalisation), ``iss_apply`` the rank-1 demixing update, and
+    ``ip_update`` covers the IP path (per frame the steering matrix, per
+    index the solve of ``U_k z = a_k``, normalisation and update of A),
+    ``iss_apply`` the rank-1 demixing update, and
     ``iss_coefficients`` the quadratic forms feeding it.  The demixing
     update proper therefore costs Theta(K^3 F) per source for IP and
     Theta(K^2 F) for ISS; the ISS coefficient statistics are Theta(K^3 F)
@@ -182,12 +185,14 @@ class FlopCounter:
         return 2 * k * k * f
 
     @staticmethod
-    def ip_update_flops(k: int, f: int) -> int:
-        product = k**3
+    def ip_update_flops(k: int, f: int, n_updates: int) -> int:
+        # per frame: pivoted LU of W and K unit-vector solves (k^2 each); per
+        # index update: elimination on [U_k | a_k], back-substitution, z^H A
+        # (holding the quadratic form), w = z / s, the row c, and A -= a_k c
         factor = sum((k - 1 - j) + (k - 1 - j) ** 2 for j in range(k))
-        substitution = k * (k - 1) + k
-        normalize = k * k + 2 * k
-        return f * (product + factor + substitution + normalize)
+        eliminate = sum((k - 1 - j) * (k + 1 - j) for j in range(k))
+        update = eliminate + k * (k + 1) // 2 + 2 * k * k + 2 * k
+        return f * (factor + k**3 + n_updates * update)
 
 
 @dataclass
@@ -234,28 +239,41 @@ def _activity(W: np.ndarray, x: np.ndarray) -> np.ndarray:
 def ip_update_row(W: np.ndarray, U_k: np.ndarray, k: int) -> np.ndarray:
     """Iterative-projection row update: solve ``(W U_k) w = e_k``, normalise.
 
-    Returns the demixing *vector* w (its conjugate is stored as row k).
-    W and U_k share their leading axes.  Raises :class:`DegenerateUpdateError`
-    naming the bins where the solve is singular or the quadratic form
-    ``w^H U_k w`` is nonpositive.
+    Returns the demixing *vector* w (its conjugate is stored as row k),
+    ``U_k^{-1} a_k`` normalised, ``a_k`` being column k of ``W^{-1}``.  W and
+    U_k share their leading axes.  Raises :class:`DegenerateUpdateError` naming
+    the bins where W is singular, U_k fails a pivot or ``w^H U_k w`` is not positive.
     """
     _check_shape("U_k", U_k, np.shape(W))
     check_number("k", k, 0, np.shape(W)[-1])
-    z, ok = _masked_ip_vector(_matrices_last(W), _matrices_last(U_k), k)
+    a, ok = linalg.masked_solve_unit(W, k)
+    w, ok = _masked_ip_update(_matrices_last(U_k), _matrices_last(a[..., None]), 0, ok)
     check_bins(ok, f"singular solve or nonpositive quadratic form in IP update for source {k}")
-    return np.moveaxis(z, 0, -1)
+    return np.moveaxis(w, 0, -1)
 
 
-def _masked_ip_vector(W: np.ndarray, U_k: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    # bins-last: W, U_k (K, K, ...) -> z (K, ...), ok (...)
-    WU = np.sum(W[:, :, None] * U_k[None], axis=1)
-    z, ok = linalg.masked_solve_unit(np.moveaxis(WU, (0, 1), (-2, -1)), k)
-    z = np.moveaxis(z, -1, 0)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        quad = np.sum(np.conj(z) * _demix(U_k, z), axis=0).real
-        z = z / np.sqrt(np.maximum(quad, np.finfo(float).tiny))
-    ok &= quad > 0
-    return z, ok
+def _masked_ip_update(U_k: np.ndarray, A: np.ndarray, k: int, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # bins-last: U_k (K, K, ...), steering columns A (K, n, ...) with a_k in column k
+    # -> w (K, ...), ok (...); A takes the row update in place on the ok bins.  U_k is
+    # Hermitian positive definite: no pivoting, and pivot D_j needs Re D_j > rtol |U_k,jj|
+    n = U_k.shape[0]
+    m = np.concatenate((U_k, A[:, k, None]), axis=1)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # a failed bin only spoils itself
+        for j in range(n - 1):
+            m[j + 1 :, j + 1 :] -= (m[j + 1 :, j] / m[j, j])[:, None] * m[j, j + 1 :]
+        floors = linalg.SINGULAR_PIVOT_RTOL * np.abs(np.diagonal(U_k, axis1=0, axis2=1))
+        pivots_ok = np.all(np.diagonal(m, axis1=0, axis2=1).real > floors, axis=-1)
+        z = m[:, n]
+        for j in range(n - 1, -1, -1):
+            z[j] = (z[j] - np.sum(m[j, j + 1 : n] * z[j + 1 :], axis=0)) / m[j, j]
+        r = np.sum(np.conj(z)[:, None] * A, axis=0)  # r_k = z^H U_k z, the quadratic form
+        quad = r[k].real
+        ok = ok & pivots_ok & (quad > 0)
+        s = np.sqrt(quad)
+        c = r / quad  # Sherman-Morrison for row k <- w^H: A_j -= a_k (w^H A_j - delta_jk) / s
+        c[k] -= 1.0 / s
+        A -= A[:, k, None] * np.where(ok, c, 0.0)[None]
+        return z / s, ok
 
 
 def iss_vector(W: np.ndarray, U_all: np.ndarray, k: int) -> np.ndarray:
@@ -381,11 +399,10 @@ class OnlineAuxIva:
         self.flops.iss_apply += FlopCounter.iss_apply_flops(self.n_src, self.n_bins)
 
     def _ip_step(self, k: int) -> None:
-        z, ok = _masked_ip_vector(self._W, self._U_next[k], k)
-        self._W[k] = np.where(ok, np.conj(z), self._W[k])
+        w, ok = _masked_ip_update(self._U_next[k], self._A, k, self._A_ok)
+        self._W[k] = np.where(ok, np.conj(w), self._W[k])
         if not np.all(ok):  # degenerate bins keep their rows
             self.diagnostics.record("ip_degenerate", np.count_nonzero(~ok))
-        self.flops.ip_update += FlopCounter.ip_update_flops(self.n_src, self.n_bins)
 
     # -- public streaming API ----------------------------------------------
 
@@ -414,6 +431,10 @@ class OnlineAuxIva:
         x = np.ascontiguousarray(x.T)
         outer = _outer(x)
         decayed = alpha * self._U
+        if indices and self.config.method == "ip":  # the steering matrix, kept current by each IP step
+            A, self._A_ok = linalg.masked_solve_unit(self.demix, range(k))
+            self._A = np.moveaxis(A, 0, -1)
+            self.flops.ip_update += FlopCounter.ip_update_flops(k, f, passes * len(indices))
         for _ in range(passes):
             phi = weight(_activity(self._W, x))
             self.flops.activity += FlopCounter.activity_flops(k, f)

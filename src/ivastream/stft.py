@@ -3,13 +3,14 @@
 The front end is fixed to a periodic (DFT-even) Hamming window at 50%
 overlap.  Signals are zero-padded by half a frame on both sides so every
 original sample is fully covered by analysis frames.  Both transforms run
-over fixed blocks of frames, so besides its result (and, in analysis, the
-padded input) each holds one block of frames at a time.  Synthesis builds
-each hop-long segment from the two frame halves that cover it and divides by
-their squared-window envelope.  At 50% overlap that envelope is periodic:
-one fixed vector ``w[hop:]**2 + w[:hop]**2`` for every segment but the last,
-which has only ``w[hop:]**2``.  The round trip is exact (well below the
-documented 1e-6 tolerance) at every original sample.
+over fixed blocks of frames, so besides its result each holds one block of
+frames at a time; analysis cuts each block from a zero-filled slice, not a
+padded copy.  Synthesis builds each hop-long segment from the two frame
+halves that cover it and divides by their squared-window envelope.  At 50%
+overlap that envelope is periodic: one fixed vector
+``w[hop:]**2 + w[:hop]**2`` for every segment but the last, which has only
+``w[hop:]**2``.  The round trip is exact (well below the documented 1e-6
+tolerance) at every original sample.
 """
 
 from __future__ import annotations
@@ -102,13 +103,17 @@ def analyze(signal, cfg: StftConfig = StftConfig()) -> Spectrogram:
         raise ContractViolationError(
             f"signal length {n} shorter than one frame ({cfg.frame_len})"
         )
-    padded = np.pad(sig, ((0, 0), (cfg.hop, cfg.hop)))
-    frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.frame_len, axis=1)
-    frames = frames[:, :: cfg.hop, :]
+    hop, n_frames = cfg.hop, n // cfg.hop + 1
     window = cfg.window_samples()
-    data = np.empty(frames.shape[:2] + (cfg.n_bins,), dtype=np.complex128)
-    for a in range(0, frames.shape[1], _BLOCK_FRAMES):
-        data[:, a : a + _BLOCK_FRAMES] = np.fft.rfft(frames[:, a : a + _BLOCK_FRAMES] * window, axis=-1)
+    data = np.empty((sig.shape[0], n_frames, cfg.n_bins), dtype=np.complex128)
+    for a in range(0, n_frames, _BLOCK_FRAMES):
+        b = min(a + _BLOCK_FRAMES, n_frames)
+        # frames a..b-1 span original samples [(a - 1) hop, b hop), zero outside the signal
+        seg = np.zeros((sig.shape[0], (b - a + 1) * hop))
+        part = sig[:, max(a - 1, 0) * hop : b * hop]
+        seg[:, hop * (a == 0) :][:, : part.shape[1]] = part
+        frames = np.lib.stride_tricks.sliding_window_view(seg, cfg.frame_len, axis=1)[:, ::hop]
+        data[:, a:b] = np.fft.rfft(frames * window, axis=-1)
     return Spectrogram(data)
 
 

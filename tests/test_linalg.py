@@ -63,6 +63,20 @@ class TestSolveUnit:
         _, ok = masked_solve_unit(m, 0)
         assert not ok[2]
 
+    def test_several_indices_match_one_index_calls_bitwise(self, rng):
+        m = random_complex(rng, 6, 3, 3)
+        m[4, 2] = m[4, 0]  # a singular member, so ok holds a False
+        cols = [2, 0, 2, 1]
+        op_counter.reset()
+        z, ok = masked_solve_unit(m, cols)
+        assert op_counter.solves == 6  # one factorisation per matrix
+        assert z.shape == (6, 3, len(cols))
+        assert np.array_equal(ok, [True, True, True, True, False, True])
+        for j, c in enumerate(cols):
+            z_c, ok_c = masked_solve_unit(m, c)
+            assert z[..., j].tobytes() == z_c.tobytes()
+            assert ok.tobytes() == ok_c.tobytes()
+
     def test_nonsquare_rejected(self):
         with pytest.raises(ContractViolationError):
             masked_solve_unit(np.ones((2, 3)), 0)
@@ -70,6 +84,8 @@ class TestSolveUnit:
     def test_bad_index_rejected(self):
         with pytest.raises(ContractViolationError):
             masked_solve_unit(np.eye(2), 5)
+        with pytest.raises(ContractViolationError):
+            masked_solve_unit(np.eye(2), [0, -1])
 
 
 class TestInverse:

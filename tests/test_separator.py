@@ -95,6 +95,83 @@ class TestIpUpdateRow:
         assert np.array_equal(engine.demix[:, k, :], expected)
 
 
+class TestIpSteeringMatrix:
+    """The IP path inverts W once per frame and keeps that steering matrix
+    current through each row update of the frame."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_src=st.integers(1, 4),
+        n_bins=st.integers(1, 6),
+        n_iter=st.sampled_from([1, 2]),
+        picks=st.lists(st.integers(0, 3), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_frame_matches_reference(self, n_src, n_bins, n_iter, picks, seed):
+        # the index tuple may repeat an index or be empty
+        indices = tuple(i % n_src for i in picks)
+        rng = np.random.default_rng(seed)
+        engine = OnlineAuxIva(
+            n_bins, n_src,
+            OnlineConfig(method="ip", n_iter=n_iter, alpha=0.9, selector=lambda t: indices),
+        )
+        w0, u0 = random_state(rng, n_src, n_bins)
+        engine.demix[:] = w0
+        engine.covariance[:] = u0
+        x = random_complex(rng, n_bins, n_src)
+        y = engine.process_frame(x)
+        y_ref, w_ref, u_ref = online_frame_reference(
+            w0, u0, x, 0.9, n_iter if indices else 1, indices, "ip"
+        )
+        np.testing.assert_allclose(y, y_ref, atol=1e-12)
+        np.testing.assert_allclose(engine.demix, w_ref, atol=1e-12)
+        np.testing.assert_allclose(engine.covariance, u_ref, atol=1e-12)
+        assert engine.diagnostics.counts == {}
+
+    def test_mid_frame_degenerate_bins_freeze_one_row(self, rng):
+        # U_k = 0 on the bad bins (zero previous U_k and a zero frame there):
+        # row k freezes there only, and the next index j still sees the
+        # partly frozen W through the updated steering matrix
+        n_src, n_bins, k, j = 3, 7, 1, 2
+        bad = [2, 5]
+        good = np.setdiff1d(np.arange(n_bins), bad)
+        engine = OnlineAuxIva(
+            n_bins, n_src, OnlineConfig(method="ip", n_iter=1, selector=lambda t: (k, j))
+        )
+        w0, u0 = random_state(rng, n_src, n_bins)
+        u0[k, bad] = 0.0
+        x = random_complex(rng, n_bins, n_src)
+        x[bad] = 0.0
+        engine.demix[:] = w0
+        engine.covariance[:] = u0
+        engine.process_frame(x)
+        u = engine.covariance
+        assert np.all(u[k, bad] == 0.0)
+        assert engine.diagnostics.counts == {"ip_degenerate": len(bad)}
+        assert np.array_equal(engine.demix[bad, k], w0[bad, k])
+        w1 = w0.copy()
+        w1[good, k] = np.conj(ip_update_row(w0[good], u[k, good], k))
+        np.testing.assert_allclose(engine.demix[:, k], w1[:, k], rtol=0, atol=1e-12)
+        expected_j = np.conj(ip_update_row(w1, u[j], j))
+        for f in range(n_bins):
+            np.testing.assert_allclose(engine.demix[f, j], expected_j[f], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_iter", [1, 2])
+    def test_singular_demixing_bin_freezes_the_whole_frame(self, rng, n_iter):
+        n_src, n_bins, bad = 3, 5, 3
+        engine = OnlineAuxIva(n_bins, n_src, OnlineConfig(method="ip", n_iter=n_iter))
+        w0, u0 = random_state(rng, n_src, n_bins)
+        # numerically singular W on one bin: the LU flags its pivot, though
+        # the steering matrix it yields there is finite
+        w0[bad, 2] = w0[bad, 0] + 1e-15 * w0[bad, 1]
+        engine.demix[:] = w0
+        engine.covariance[:] = u0
+        engine.process_frame(random_complex(rng, n_bins, n_src))
+        assert np.array_equal(engine.demix[bad], w0[bad])
+        assert all(not np.array_equal(engine.demix[f], w0[f]) for f in range(n_bins) if f != bad)
+        assert engine.diagnostics.counts == {"ip_degenerate": n_src * n_iter}
+
+
 class TestIssVector:
     def test_identity_fixed_point(self):
         w = np.tile(np.eye(2, dtype=complex), (1, 1, 1))
@@ -319,10 +396,16 @@ class TestEngine:
         assert op_counter.inversions == 0
 
     def test_ip_path_counts_solves(self, rng):
-        engine = OnlineAuxIva(16, 3, OnlineConfig(method="ip", n_iter=2))
+        # one factorisation of W per bin per frame that names an index,
+        # whatever the number of indices and passes; none otherwise
+        engine = OnlineAuxIva(
+            16, 3, OnlineConfig(method="ip", n_iter=2, selector=lambda t: (0, 1, 2) if t == 1 else ())
+        )
         op_counter.reset()
         engine.process_frame(self.frames(rng, 1, 16, 3)[0])
-        assert op_counter.solves == 16 * 3 * 2
+        assert op_counter.solves == 16
+        engine.process_frame(self.frames(rng, 1, 16, 3)[0])
+        assert op_counter.solves == 16
 
     def test_deterministic_trajectories(self, rng):
         frames = self.frames(rng, 30, 8, 2)
@@ -574,6 +657,19 @@ class TestEngine:
         assert engine.flops.iss_coefficients == FlopCounter.iss_coefficient_flops(n_src, n_bins)
         assert engine.flops.iss_apply == FlopCounter.iss_apply_flops(n_src, n_bins)
         assert engine.flops.ip_update == 0
+
+    def test_ip_flops_count_one_steering_matrix_per_frame(self, rng):
+        # one steering matrix per frame that names an index, plus one
+        # update per index and pass; a frame with no index adds nothing
+        n_bins, n_src = 8, 3
+        engine = OnlineAuxIva(
+            n_bins, n_src,
+            OnlineConfig(method="ip", n_iter=2, selector=lambda t: (0, 2) if t == 1 else ()),
+        )
+        for x in self.frames(rng, 2, n_bins, n_src):
+            engine.process_frame(x)
+        assert engine.flops.ip_update == FlopCounter.ip_update_flops(n_src, n_bins, 4)
+        assert engine.flops.iss_apply == engine.flops.iss_coefficients == 0
 
     def test_steady_state_allocations_bounded(self, rng):
         engine = OnlineAuxIva(64, 3, OnlineConfig(method="iss"))

@@ -126,6 +126,26 @@ def test_synthesis_working_set_does_not_grow_with_the_signal(rng):
     assert abs(extra[1] - extra[0]) <= 3 * block_bytes
 
 
+def test_analysis_working_set_does_not_grow_with_the_signal(rng):
+    # frames are cut from a zero-filled slice per block, not from a padded
+    # copy of the whole signal
+    cfg = StftConfig(frame_len=1024)
+    block_bytes = 2 * _BLOCK_FRAMES * cfg.frame_len * 8  # one block of real frames
+    extra = []
+    for n_frames in (4 * _BLOCK_FRAMES + 1, 16 * _BLOCK_FRAMES + 1):
+        signal = rng.standard_normal((2, (n_frames - 1) * cfg.hop))
+        tracemalloc.start()
+        try:
+            spec = analyze(signal, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert spec.n_frames == n_frames
+        extra.append(peak - spec.data.nbytes)
+    assert extra[0] <= 3 * block_bytes
+    assert abs(extra[1] - extra[0]) <= 3 * block_bytes
+
+
 def test_synthesis_length_bounds(cfg, rng):
     spec = analyze(rng.standard_normal((1, 1000)), cfg)
     for n_samples in (0, spec.n_frames * cfg.hop + 1):
