@@ -7,7 +7,8 @@ The engine processes one STFT frame at a time:
    once per frame:
        X_f   <- (x_f x_f^H + (x_f x_f^H)^H) / 2           (exactly Hermitian)
        B_k,f <- alpha * U_k,f[prev frame]                  for every source
-       A_f   <- W_f^{-1}             (IP only, if the frame names an index)
+       A_f   <- W_f^{-1}   (IP, on a frame that names an index, unless the
+                            A_f the last such frame ended with inverts W_f)
    for iter = 1..n_iter:              (1 pass when the schedule names no index)
        r_k   <- sqrt(sum_f |w_k^H x_f|^2)                 for every source
        U_k,f <- (1 - alpha) * phi(r_k) * X_f + B_k,f      for every source
@@ -26,10 +27,12 @@ Notes on conventions:
   vanishing ``1 - v_k``) the affected bins keep their previous demixing
   rows and :class:`DiagnosticsLog` counts them by kind; a streaming
   system must not halt on a transiently bad bin.
-* The ISS path performs no linear solves or inversions.  The IP path
-  factorises W once per frame, for A = W^{-1}, which its row updates keep
-  current.  Back-projection (the only inversion user) lives outside
-  :meth:`OnlineAuxIva.process_frame`, in :meth:`OnlineAuxIva.project`.
+* The ISS path performs no linear solves or inversions.  The IP path keeps
+  A = W^{-1} current through its row updates, from frame to frame, and
+  factorises W only on its first update frame and after a write through
+  :attr:`OnlineAuxIva.demix`.  Back-projection (the only inversion user)
+  lives outside :meth:`OnlineAuxIva.process_frame`, in
+  :meth:`OnlineAuxIva.project`.
 * Both terms of the covariance refresh are exactly Hermitian, so every
   persisted covariance is too, bit for bit.  ``x x^H`` alone is not (the
   diagonal picks up an imaginary residue under fused multiply-add), hence
@@ -150,9 +153,9 @@ class OnlineConfig:
 class FlopCounter:
     """Analytic complex multiply-add counts, attributed per phase.
 
-    ``ip_update`` covers the IP path (per frame the steering matrix, per
-    index the solve of ``U_k z = a_k``, normalisation and update of A),
-    ``iss_apply`` the rank-1 demixing update, and
+    ``ip_update`` covers the IP path (the steering matrix whenever W is
+    factorised, per index the solve of ``U_k z = a_k``, normalisation and
+    update of A), ``iss_apply`` the rank-1 demixing update, and
     ``iss_coefficients`` the quadratic forms feeding it.  The demixing
     update proper therefore costs Theta(K^3 F) per source for IP and
     Theta(K^2 F) for ISS; the ISS coefficient statistics are Theta(K^3 F)
@@ -185,14 +188,15 @@ class FlopCounter:
         return 2 * k * k * f
 
     @staticmethod
-    def ip_update_flops(k: int, f: int, n_updates: int) -> int:
-        # per frame: pivoted LU of W and K unit-vector solves (k^2 each); per
-        # index update: elimination on [U_k | a_k], back-substitution, z^H A
-        # (holding the quadratic form), w = z / s, the row c, and A -= a_k c
+    def ip_update_flops(k: int, f: int, n_updates: int, n_anchors: int = 1) -> int:
+        # per anchor, one factorisation of W: pivoted LU and K unit-vector
+        # solves (k^2 each); per index update: elimination on [U_k | a_k],
+        # back-substitution, z^H A (holding the quadratic form), w = z / s,
+        # the row c, and A -= a_k c
         factor = sum((k - 1 - j) + (k - 1 - j) ** 2 for j in range(k))
         eliminate = sum((k - 1 - j) * (k + 1 - j) for j in range(k))
         update = eliminate + k * (k + 1) // 2 + 2 * k * k + 2 * k
-        return f * (factor + k**3 + n_updates * update)
+        return f * (n_anchors * (factor + k**3) + n_updates * update)
 
 
 @dataclass
@@ -375,6 +379,9 @@ class OnlineAuxIva:
         self._U = np.repeat(INIT_COVARIANCE_SCALE * self._W[None], self.n_src, axis=0)
         # the frame's U, committed only on completion: a frame that raises leaves _U intact
         self._U_next = np.empty_like(self._U)
+        # IP: the steering matrix A = W^{-1}, its per-bin ok mask, and the W it inverts
+        self._A = self._A_ok = None
+        self._W_anchor = np.empty_like(self._W) if config.method == "ip" else None
         self.diagnostics = DiagnosticsLog()
         self._t = 0
 
@@ -431,10 +438,13 @@ class OnlineAuxIva:
         x = np.ascontiguousarray(x.T)
         outer = _outer(x)
         decayed = alpha * self._U
-        if indices and self.config.method == "ip":  # the steering matrix, kept current by each IP step
-            A, self._A_ok = linalg.masked_solve_unit(self.demix, range(k))
-            self._A = np.moveaxis(A, 0, -1)
-            self.flops.ip_update += FlopCounter.ip_update_flops(k, f, passes * len(indices))
+        ip = bool(indices) and self.config.method == "ip"
+        if ip:  # the steering matrix, kept current by each IP step across frames
+            anchor = self._A is None or not np.array_equal(self._W, self._W_anchor)
+            if anchor:  # none yet, or W was written through demix since the last IP frame
+                A, self._A_ok = linalg.masked_solve_unit(self.demix, range(k))
+                self._A = np.moveaxis(A, 0, -1)
+            self.flops.ip_update += FlopCounter.ip_update_flops(k, f, passes * len(indices), int(anchor))
         for _ in range(passes):
             phi = weight(_activity(self._W, x))
             self.flops.activity += FlopCounter.activity_flops(k, f)
@@ -444,6 +454,8 @@ class OnlineAuxIva:
             self.flops.covariance += k * FlopCounter.covariance_flops(k, f)
             for idx in indices:
                 self._step(idx)
+        if ip:  # the W that A inverts; a frame with no index leaves a write to be seen
+            np.copyto(self._W_anchor, self._W)
         self._U, self._U_next = self._U_next, self._U
         return _demix(self._W, x).T
 

@@ -96,8 +96,9 @@ class TestIpUpdateRow:
 
 
 class TestIpSteeringMatrix:
-    """The IP path inverts W once per frame and keeps that steering matrix
-    current through each row update of the frame."""
+    """The IP path inverts W on its first update frame, keeps that steering
+    matrix current through each row update and carries it across frames,
+    and inverts W again only after a write through ``demix``."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -170,6 +171,48 @@ class TestIpSteeringMatrix:
         assert np.array_equal(engine.demix[bad], w0[bad])
         assert all(not np.array_equal(engine.demix[f], w0[f]) for f in range(n_bins) if f != bad)
         assert engine.diagnostics.counts == {"ip_degenerate": n_src * n_iter}
+
+    def test_write_before_a_frame_with_no_index_is_seen(self, rng):
+        # frame 2 names no index and must not vouch for W: frame 3 starts
+        # from the W written before frame 2 and needs its inverse
+        n_src, n_bins, alpha = 3, 6, 0.9
+        engine = OnlineAuxIva(
+            n_bins, n_src,
+            OnlineConfig(method="ip", n_iter=2, alpha=alpha, selector=lambda t: () if t == 2 else (0, 1, 2)),
+        )
+        frames = random_complex(rng, 3, n_bins, n_src)
+        engine.process_frame(frames[0])
+        w_ref = random_state(rng, n_src, n_bins)[0]
+        u_ref = engine.covariance.copy()
+        engine.demix[:] = w_ref
+        for t, x in enumerate(frames[1:], start=2):
+            y = engine.process_frame(x)
+            indices = () if t == 2 else range(n_src)
+            y_ref, w_ref, u_ref = online_frame_reference(
+                w_ref, u_ref, x, alpha, 2 if indices else 1, indices, "ip"
+            )
+            np.testing.assert_allclose(y, y_ref, atol=1e-12)
+            np.testing.assert_allclose(engine.demix, w_ref, atol=1e-12)
+            np.testing.assert_allclose(engine.covariance, u_ref, atol=1e-12)
+
+    def test_carried_steering_matrix_does_not_drift(self):
+        # one anchor for a long stream: spherical Laplace sources (a Gaussian
+        # vector times the square root of an exponential scale per frame and
+        # source) through a fixed random mixing per bin
+        n_src, n_bins, n_frames = 3, 8, 3000
+        rng = np.random.default_rng(7)
+        mixing = random_complex(rng, n_bins, n_src, n_src) + 2 * np.eye(n_src)
+        scale = np.sqrt(rng.exponential(size=(n_frames, 1, n_src)))
+        sources = scale * random_complex(rng, n_frames, n_bins, n_src)
+        frames = np.einsum("fij,tfj->tfi", mixing, sources)
+        engine = OnlineAuxIva(n_bins, n_src, OnlineConfig(method="ip"))
+        op_counter.reset()
+        for x in frames:
+            engine.process_frame(x)
+        assert op_counter.solves == n_bins
+        assert engine.diagnostics.counts == {}
+        A = np.moveaxis(engine._A, -1, 0)
+        assert np.max(np.abs(A @ engine.demix - np.eye(n_src))) <= 1e-12
 
 
 class TestIssVector:
@@ -396,16 +439,22 @@ class TestEngine:
         assert op_counter.inversions == 0
 
     def test_ip_path_counts_solves(self, rng):
-        # one factorisation of W per bin per frame that names an index,
-        # whatever the number of indices and passes; none otherwise
+        # one factorisation of W per bin for the first frame that names an
+        # index, whatever the number of indices and passes; later frames
+        # carry the steering matrix, and a write through demix costs exactly
+        # one more factorisation
         engine = OnlineAuxIva(
-            16, 3, OnlineConfig(method="ip", n_iter=2, selector=lambda t: (0, 1, 2) if t == 1 else ())
+            16, 3, OnlineConfig(method="ip", n_iter=2, selector=lambda t: () if t == 3 else (0, 1, 2))
         )
+        frames = self.frames(rng, 5, 16, 3)
         op_counter.reset()
-        engine.process_frame(self.frames(rng, 1, 16, 3)[0])
+        for x in frames[:3]:
+            engine.process_frame(x)
         assert op_counter.solves == 16
-        engine.process_frame(self.frames(rng, 1, 16, 3)[0])
-        assert op_counter.solves == 16
+        engine.demix[:] = engine.demix * 2.0
+        for x in frames[3:]:
+            engine.process_frame(x)
+        assert op_counter.solves == 32
 
     def test_deterministic_trajectories(self, rng):
         frames = self.frames(rng, 30, 8, 2)
@@ -658,21 +707,28 @@ class TestEngine:
         assert engine.flops.iss_apply == FlopCounter.iss_apply_flops(n_src, n_bins)
         assert engine.flops.ip_update == 0
 
-    def test_ip_flops_count_one_steering_matrix_per_frame(self, rng):
-        # one steering matrix per frame that names an index, plus one
-        # update per index and pass; a frame with no index adds nothing
+    def test_ip_flops_count_one_steering_matrix_per_anchor(self, rng):
+        # one steering matrix per factorisation of W, plus one update per
+        # index and pass; a frame with no index adds nothing, a later frame
+        # that names an index carries the steering matrix, and a write
+        # through demix costs one more
         n_bins, n_src = 8, 3
-        engine = OnlineAuxIva(
-            n_bins, n_src,
-            OnlineConfig(method="ip", n_iter=2, selector=lambda t: (0, 2) if t == 1 else ()),
-        )
-        for x in self.frames(rng, 2, n_bins, n_src):
-            engine.process_frame(x)
-        assert engine.flops.ip_update == FlopCounter.ip_update_flops(n_src, n_bins, 4)
-        assert engine.flops.iss_apply == engine.flops.iss_coefficients == 0
+        for updating in [(1,), (1, 2)]:
+            selector = lambda t: (0, 2) if t in updating + (4,) else ()
+            engine = OnlineAuxIva(n_bins, n_src, OnlineConfig(method="ip", n_iter=2, selector=selector))
+            frames = self.frames(rng, 4, n_bins, n_src)
+            for x in frames[:3]:
+                engine.process_frame(x)
+            n_updates = 4 * len(updating)
+            assert engine.flops.ip_update == FlopCounter.ip_update_flops(n_src, n_bins, n_updates)
+            assert engine.flops.iss_apply == engine.flops.iss_coefficients == 0
+            engine.demix[:] = engine.demix * 2.0
+            engine.process_frame(frames[3])
+            assert engine.flops.ip_update == FlopCounter.ip_update_flops(n_src, n_bins, n_updates + 4, 2)
 
-    def test_steady_state_allocations_bounded(self, rng):
-        engine = OnlineAuxIva(64, 3, OnlineConfig(method="iss"))
+    @pytest.mark.parametrize("method", ["iss", "ip"])
+    def test_steady_state_allocations_bounded(self, rng, method):
+        engine = OnlineAuxIva(64, 3, OnlineConfig(method=method))
         frames = self.frames(rng, 60, 64, 3)
         for x in frames[:10]:  # warm-up
             engine.process_frame(x)
