@@ -7,8 +7,8 @@ The engine processes one STFT frame at a time:
    once per frame:
        X_f   <- (x_f x_f^H + (x_f x_f^H)^H) / 2           (exactly Hermitian)
        B_k,f <- alpha * U_k,f[prev frame]                  for every source
-       A_f   <- W_f^{-1}   (IP, on a frame that names an index, unless the
-                            A_f the last such frame ended with inverts W_f)
+       A_f   <- W_f^{-1}   (IP, on a frame that names an index and holds no A_f:
+                            the first, and the first after set_state(demix=...))
    for iter = 1..n_iter:              (1 pass when the schedule names no index)
        r_k   <- sqrt(sum_f |w_k^H x_f|^2)                 for every source
        U_k,f <- (1 - alpha) * phi(r_k) * X_f + B_k,f      for every source
@@ -29,10 +29,9 @@ Notes on conventions:
   system must not halt on a transiently bad bin.
 * The ISS path performs no linear solves or inversions.  The IP path keeps
   A = W^{-1} current through its row updates, from frame to frame, and
-  factorises W only on its first update frame and after a write through
-  :attr:`OnlineAuxIva.demix`.  Back-projection (the only inversion user)
-  lives outside :meth:`OnlineAuxIva.process_frame`, in
-  :meth:`OnlineAuxIva.project`.
+  factorises W only on its first update frame and the first one after each
+  ``set_state(demix=...)``.  Back-projection (the only inversion user) lives
+  outside :meth:`OnlineAuxIva.process_frame`, in :meth:`OnlineAuxIva.project`.
 * Both terms of the covariance refresh are exactly Hermitian, so every
   persisted covariance is too, bit for bit.  ``x x^H`` alone is not (the
   diagonal picks up an imaginary residue under fused multiply-add), hence
@@ -52,8 +51,9 @@ Storage layout: the engine keeps its state **bins-last**, W as a
 C-contiguous (K, K, F) array and U as (K, K, K, F), so every per-bin
 kernel is elementwise numpy over contiguous length-F vectors, with loops
 and reductions over K only.  :attr:`OnlineAuxIva.demix` (F, K, K) and
-:attr:`OnlineAuxIva.covariance` (K, F, K, K) are writable views of that
-state.  The public functions keep the (F, ...) shapes and move axes on
+:attr:`OnlineAuxIva.covariance` (K, F, K, K) are read-only views of that
+state, and :meth:`OnlineAuxIva.set_state` is the one way to write it from
+outside.  The public functions keep the (F, ...) shapes and move axes on
 entry, which costs no copy for the engine's own views.  W and U_k (or v)
 share their leading axes; a mismatch is a :class:`ContractViolationError`.
 """
@@ -153,13 +153,13 @@ class OnlineConfig:
 class FlopCounter:
     """Analytic complex multiply-add counts, attributed per phase.
 
-    ``ip_update`` covers the IP path (the steering matrix whenever W is
-    factorised, per index the solve of ``U_k z = a_k``, normalisation and
-    update of A), ``iss_apply`` the rank-1 demixing update, and
-    ``iss_coefficients`` the quadratic forms feeding it.  The demixing
-    update proper therefore costs Theta(K^3 F) per source for IP and
-    Theta(K^2 F) for ISS; the ISS coefficient statistics are Theta(K^3 F)
-    and are tallied separately.
+    ``ip_update`` covers the IP path (the steering matrix on each anchor, the
+    first update frame and the first after each ``set_state(demix=...)``; per
+    index the solve of ``U_k z = a_k``, normalisation and update of A),
+    ``iss_apply`` the rank-1 demixing update, and ``iss_coefficients`` the
+    quadratic forms feeding it.  The demixing update proper therefore costs
+    Theta(K^3 F) per source for IP and Theta(K^2 F) for ISS; the ISS
+    coefficient statistics are Theta(K^3 F) and are tallied separately.
     """
 
     activity: int = 0
@@ -189,7 +189,8 @@ class FlopCounter:
 
     @staticmethod
     def ip_update_flops(k: int, f: int, n_updates: int, n_anchors: int = 1) -> int:
-        # per anchor, one factorisation of W: pivoted LU and K unit-vector
+        # per anchor (the first update frame, and the first after each
+        # set_state(demix=...)), one factorisation of W: pivoted LU and K unit-vector
         # solves (k^2 each); per index update: elimination on [U_k | a_k],
         # back-substitution, z^H A (holding the quadratic form), w = z / s,
         # the row c, and A -= a_k c
@@ -222,6 +223,11 @@ def _check_shape(name: str, a, expected: tuple) -> None:
     # the public kernels take matching shapes; they do not broadcast
     if np.shape(a) != expected:
         raise ContractViolationError(f"{name} must have shape {expected}, got {np.shape(a)}")
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
 
 
 def _demix(W: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -379,21 +385,37 @@ class OnlineAuxIva:
         self._U = np.repeat(INIT_COVARIANCE_SCALE * self._W[None], self.n_src, axis=0)
         # the frame's U, committed only on completion: a frame that raises leaves _U intact
         self._U_next = np.empty_like(self._U)
-        # IP: the steering matrix A = W^{-1}, its per-bin ok mask, and the W it inverts
+        # IP: the steering matrix A = W^{-1} and its per-bin ok mask; None until an update frame factorises W
         self._A = self._A_ok = None
-        self._W_anchor = np.empty_like(self._W) if config.method == "ip" else None
         self.diagnostics = DiagnosticsLog()
         self._t = 0
 
     @property
     def demix(self) -> np.ndarray:
-        """The (F, K, K) demixing matrices, a writable view of the state."""
-        return np.moveaxis(self._W, -1, 0)
+        """The (F, K, K) demixing matrices, a read-only view (see :meth:`set_state`)."""
+        return _read_only(np.moveaxis(self._W, -1, 0))
 
     @property
     def covariance(self) -> np.ndarray:
-        """The (K, F, K, K) weighted covariances, a writable view of the state."""
-        return np.moveaxis(self._U, -1, 1)
+        """The (K, F, K, K) weighted covariances, a read-only view (see :meth:`set_state`)."""
+        return _read_only(np.moveaxis(self._U, -1, 1))
+
+    def set_state(self, demix=None, covariance=None) -> None:
+        """Write the demixing matrices, the covariances or both, in the shapes of :attr:`demix`
+        and :attr:`covariance`.  A wrong shape (even one that would broadcast) or a non-finite
+        entry in either raises :class:`ContractViolationError` before anything is written.  The
+        frame clock, diagnostics and flops are kept; the next IP update frame factorises a new W."""
+        new = {name: np.asarray(value, dtype=np.complex128)
+               for name, value in (("demix", demix), ("covariance", covariance)) if value is not None}
+        for name, value in new.items():
+            _check_shape(name, value, getattr(self, name).shape)
+            if not np.all(np.isfinite(value)):
+                raise ContractViolationError(f"{name} has non-finite entries")
+        if demix is not None:
+            np.moveaxis(self._W, -1, 0)[...] = new["demix"]
+            self._A = None  # A depends on W alone
+        if covariance is not None:
+            np.moveaxis(self._U, -1, 1)[...] = new["covariance"]
 
     # -- demixing updates, whole-array over bins ---------------------------
 
@@ -440,8 +462,8 @@ class OnlineAuxIva:
         decayed = alpha * self._U
         ip = bool(indices) and self.config.method == "ip"
         if ip:  # the steering matrix, kept current by each IP step across frames
-            anchor = self._A is None or not np.array_equal(self._W, self._W_anchor)
-            if anchor:  # none yet, or W was written through demix since the last IP frame
+            anchor = self._A is None
+            if anchor:  # the first update frame, or the first after set_state(demix=...)
                 A, self._A_ok = linalg.masked_solve_unit(self.demix, range(k))
                 self._A = np.moveaxis(A, 0, -1)
             self.flops.ip_update += FlopCounter.ip_update_flops(k, f, passes * len(indices), int(anchor))
@@ -454,8 +476,6 @@ class OnlineAuxIva:
             self.flops.covariance += k * FlopCounter.covariance_flops(k, f)
             for idx in indices:
                 self._step(idx)
-        if ip:  # the W that A inverts; a frame with no index leaves a write to be seen
-            np.copyto(self._W_anchor, self._W)
         self._U, self._U_next = self._U_next, self._U
         return _demix(self._W, x).T
 

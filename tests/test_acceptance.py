@@ -251,8 +251,7 @@ def test_criterion_11_online_single_frame_oracle():
                     )
                     w0 = random_complex(rng, n_bins, n_src, n_src) + 2 * np.eye(n_src)
                     u0 = random_psd(rng, n_src, batch=(n_src, n_bins))
-                    engine.demix[:] = w0
-                    engine.covariance[:] = u0
+                    engine.set_state(demix=w0, covariance=u0)
                     x = random_complex(rng, n_bins, n_src)
                     y = engine.process_frame(x)
                     y_ref, w_ref, u_ref = online_frame_reference(

@@ -88,8 +88,7 @@ class TestIpUpdateRow:
             n_bins, n_src, OnlineConfig(method="ip", n_iter=1, selector=lambda t: (k,))
         )
         w0, u0 = random_state(rng, n_src, n_bins)
-        engine.demix[:] = w0
-        engine.covariance[:] = u0
+        engine.set_state(demix=w0, covariance=u0)
         engine.process_frame(random_complex(rng, n_bins, n_src))
         expected = np.conj(ip_update_row(w0, engine.covariance[k], k))
         assert np.array_equal(engine.demix[:, k, :], expected)
@@ -98,7 +97,7 @@ class TestIpUpdateRow:
 class TestIpSteeringMatrix:
     """The IP path inverts W on its first update frame, keeps that steering
     matrix current through each row update and carries it across frames,
-    and inverts W again only after a write through ``demix``."""
+    and inverts W again only after ``set_state(demix=...)``."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -117,8 +116,7 @@ class TestIpSteeringMatrix:
             OnlineConfig(method="ip", n_iter=n_iter, alpha=0.9, selector=lambda t: indices),
         )
         w0, u0 = random_state(rng, n_src, n_bins)
-        engine.demix[:] = w0
-        engine.covariance[:] = u0
+        engine.set_state(demix=w0, covariance=u0)
         x = random_complex(rng, n_bins, n_src)
         y = engine.process_frame(x)
         y_ref, w_ref, u_ref = online_frame_reference(
@@ -143,8 +141,7 @@ class TestIpSteeringMatrix:
         u0[k, bad] = 0.0
         x = random_complex(rng, n_bins, n_src)
         x[bad] = 0.0
-        engine.demix[:] = w0
-        engine.covariance[:] = u0
+        engine.set_state(demix=w0, covariance=u0)
         engine.process_frame(x)
         u = engine.covariance
         assert np.all(u[k, bad] == 0.0)
@@ -165,16 +162,15 @@ class TestIpSteeringMatrix:
         # numerically singular W on one bin: the LU flags its pivot, though
         # the steering matrix it yields there is finite
         w0[bad, 2] = w0[bad, 0] + 1e-15 * w0[bad, 1]
-        engine.demix[:] = w0
-        engine.covariance[:] = u0
+        engine.set_state(demix=w0, covariance=u0)
         engine.process_frame(random_complex(rng, n_bins, n_src))
         assert np.array_equal(engine.demix[bad], w0[bad])
         assert all(not np.array_equal(engine.demix[f], w0[f]) for f in range(n_bins) if f != bad)
         assert engine.diagnostics.counts == {"ip_degenerate": n_src * n_iter}
 
-    def test_write_before_a_frame_with_no_index_is_seen(self, rng):
+    def test_set_state_before_a_frame_with_no_index_is_seen(self, rng):
         # frame 2 names no index and must not vouch for W: frame 3 starts
-        # from the W written before frame 2 and needs its inverse
+        # from the W set before frame 2 and needs its inverse
         n_src, n_bins, alpha = 3, 6, 0.9
         engine = OnlineAuxIva(
             n_bins, n_src,
@@ -184,7 +180,7 @@ class TestIpSteeringMatrix:
         engine.process_frame(frames[0])
         w_ref = random_state(rng, n_src, n_bins)[0]
         u_ref = engine.covariance.copy()
-        engine.demix[:] = w_ref
+        engine.set_state(demix=w_ref)
         for t, x in enumerate(frames[1:], start=2):
             y = engine.process_frame(x)
             indices = () if t == 2 else range(n_src)
@@ -249,7 +245,7 @@ class TestIssApply:
 
     def test_returns_a_new_array(self, rng):
         engine = OnlineAuxIva(5, 3)
-        engine.demix[:] = random_complex(rng, 5, 3, 3)
+        engine.set_state(demix=random_complex(rng, 5, 3, 3))
         before = engine.demix.copy()
         v = random_complex(rng, 5, 3)
         out = iss_apply(engine.demix, v, 1)
@@ -409,8 +405,7 @@ class TestEngine:
             n_bins, n_src, OnlineConfig(method=method, n_iter=n_iter, alpha=0.97)
         )
         w0, u0 = random_state(rng, n_src, n_bins)
-        engine.demix[:] = w0
-        engine.covariance[:] = u0
+        engine.set_state(demix=w0, covariance=u0)
         x = random_complex(rng, n_bins, n_src)
         y = engine.process_frame(x)
         y_ref, w_ref, u_ref = online_frame_reference(
@@ -441,19 +436,22 @@ class TestEngine:
     def test_ip_path_counts_solves(self, rng):
         # one factorisation of W per bin for the first frame that names an
         # index, whatever the number of indices and passes; later frames
-        # carry the steering matrix, and a write through demix costs exactly
-        # one more factorisation
+        # carry the steering matrix, set_state(demix=...) costs exactly one
+        # more factorisation, and set_state(covariance=...) none
         engine = OnlineAuxIva(
             16, 3, OnlineConfig(method="ip", n_iter=2, selector=lambda t: () if t == 3 else (0, 1, 2))
         )
-        frames = self.frames(rng, 5, 16, 3)
+        frames = self.frames(rng, 6, 16, 3)
         op_counter.reset()
         for x in frames[:3]:
             engine.process_frame(x)
         assert op_counter.solves == 16
-        engine.demix[:] = engine.demix * 2.0
-        for x in frames[3:]:
+        engine.set_state(demix=engine.demix * 2.0)
+        for x in frames[3:5]:
             engine.process_frame(x)
+        assert op_counter.solves == 32
+        engine.set_state(covariance=engine.covariance * 2.0)
+        engine.process_frame(frames[5])
         assert op_counter.solves == 32
 
     def test_deterministic_trajectories(self, rng):
@@ -523,8 +521,7 @@ class TestEngine:
             ),
         )
         w_ref, u_ref = random_state(rng, n_src, n_bins)
-        engine.demix[:] = w_ref
-        engine.covariance[:] = u_ref
+        engine.set_state(demix=w_ref, covariance=u_ref)
         for t, x in enumerate(self.frames(rng, 10, n_bins, n_src), start=1):
             y = engine.process_frame(x)
             update = (t - 1) % 2 == 0
@@ -560,8 +557,7 @@ class TestEngine:
             n_bins, n_src, OnlineConfig(n_iter=2, alpha=alpha, selector=lambda t: ())
         )
         w0, u0 = random_state(rng, n_src, n_bins)
-        engine.demix[:] = w0
-        engine.covariance[:] = u0
+        engine.set_state(demix=w0, covariance=u0)
         x = self.frames(rng, 1, n_bins, n_src)[0]
         y = engine.process_frame(x)
         assert engine.flops.activity == FlopCounter.activity_flops(n_src, n_bins)
@@ -656,6 +652,34 @@ class TestEngine:
         assert np.all(np.isfinite(engine.covariance))
         assert engine.diagnostics.counts == {}
 
+    def test_only_a_valid_set_state_writes_the_state(self, rng):
+        # a write through either view raises numpy's ValueError, and set_state
+        # checks both arguments before it writes either (a (K, K) demix or an
+        # (F, K, K) covariance would broadcast): W, U and the carried A stay
+        n_bins, n_src = 4, 3
+        engine = OnlineAuxIva(n_bins, n_src, OnlineConfig(method="ip"))
+        frames = self.frames(rng, 2, n_bins, n_src)
+        engine.process_frame(frames[0])
+        demix, covariance = engine.demix.copy(), engine.covariance.copy()
+        for view in (engine.demix, engine.covariance):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 0.0
+        w, u = random_state(rng, n_src, n_bins)
+        u_nan = u.copy()
+        u_nan[1, 2, 0, 1] = np.nan
+        for w_bad, u_bad, match in [
+            (w[0], u, "demix must have shape"),
+            (w, u[0], "covariance must have shape"),
+            (w, u_nan, "covariance has non-finite"),
+        ]:
+            with pytest.raises(ContractViolationError, match=match):
+                engine.set_state(demix=w_bad, covariance=u_bad)
+        assert np.array_equal(engine.demix, demix)
+        assert np.array_equal(engine.covariance, covariance)
+        op_counter.reset()  # A still inverts W: the next update frame factorises nothing
+        engine.process_frame(frames[1])
+        assert op_counter.solves == 0
+
     @pytest.mark.parametrize("method", ["iss", "ip"])
     def test_loud_frame_accepted(self, rng, method):
         # the ceiling sits far above any recording: a 1e6 sample is taken
@@ -710,8 +734,8 @@ class TestEngine:
     def test_ip_flops_count_one_steering_matrix_per_anchor(self, rng):
         # one steering matrix per factorisation of W, plus one update per
         # index and pass; a frame with no index adds nothing, a later frame
-        # that names an index carries the steering matrix, and a write
-        # through demix costs one more
+        # that names an index carries the steering matrix, and
+        # set_state(demix=...) costs one more
         n_bins, n_src = 8, 3
         for updating in [(1,), (1, 2)]:
             selector = lambda t: (0, 2) if t in updating + (4,) else ()
@@ -722,7 +746,7 @@ class TestEngine:
             n_updates = 4 * len(updating)
             assert engine.flops.ip_update == FlopCounter.ip_update_flops(n_src, n_bins, n_updates)
             assert engine.flops.iss_apply == engine.flops.iss_coefficients == 0
-            engine.demix[:] = engine.demix * 2.0
+            engine.set_state(demix=engine.demix * 2.0)
             engine.process_frame(frames[3])
             assert engine.flops.ip_update == FlopCounter.ip_update_flops(n_src, n_bins, n_updates + 4, 2)
 
@@ -754,9 +778,9 @@ class TestEngineLayoutProperties:
     def test_state_views_and_frames_match_reference(
         self, n_src, n_bins, method, n_iter, period, seed
     ):
-        # each pair of frames restarts from a state written through the
-        # views, once before the stream and once mid-stream; with period 2
-        # every second frame names no index
+        # each pair of frames restarts from a state given to set_state, once
+        # before the stream and once mid-stream; with period 2 every second
+        # frame names no index
         rng = np.random.default_rng(seed)
         alpha = 0.9
         every = tuple(range(n_src))
@@ -771,8 +795,7 @@ class TestEngineLayoutProperties:
         for t, x in enumerate(frames, start=1):
             if t % 2 == 1:
                 w_ref, u_ref = random_state(rng, n_src, n_bins)
-                engine.demix[:] = w_ref
-                engine.covariance[:] = u_ref
+                engine.set_state(demix=w_ref, covariance=u_ref)
             y = engine.process_frame(x)
             update = (t - 1) % period == 0
             y_ref, w_ref, u_ref = online_frame_reference(
