@@ -1,7 +1,9 @@
-"""Command-line orchestration: simulate | separate | evaluate | demo.
+"""Command-line orchestration: simulate | separate | evaluate.
 
-``run_separation`` and ``run_moving_experiment`` are the experiment
-pipeline behind ``separate`` and ``demo``, reusable from Python.
+``run_separation`` is the pipeline behind ``separate``, and
+``run_moving_experiment`` runs one arm of the moving-source comparison
+(``demos/03_moving_source_tracking.py`` runs all four); both are reusable
+from Python.
 
 Exit codes: 0 on success; 2 on every ``ContractViolationError`` (bad flags,
 a missing, malformed, incomplete or mistyped manifest, input WAVs that do not match
@@ -209,17 +211,6 @@ def _run_pipeline(
     return estimates, info
 
 
-def _check_decidable_move(move_sample: int | None, stft_cfg: StftConfig) -> None:
-    # mode 'one' decides its channel from at least one hop of estimates
-    if move_sample is None:
-        raise ContractViolationError("mode 'one' needs a scenario with a move")
-    if move_sample < stft_cfg.frame_len:
-        raise ContractViolationError(
-            f"mode 'one' needs the move at sample {stft_cfg.frame_len} (frame_len) or "
-            f"later, to decide the moving channel; it is at sample {move_sample}"
-        )
-
-
 def run_moving_experiment(
     truth: scenario.GroundTruth,
     stft_cfg: StftConfig,
@@ -243,7 +234,13 @@ def run_moving_experiment(
     chosen: dict[str, int] = {}
     switch_frame = selector = None
     if mode == "one":
-        _check_decidable_move(truth.move_sample, stft_cfg)
+        if truth.move_sample is None:
+            raise ContractViolationError("mode 'one' needs a scenario with a move")
+        if truth.move_sample < stft_cfg.frame_len:
+            raise ContractViolationError(
+                f"mode 'one' needs the move at sample {stft_cfg.frame_len} (frame_len) or "
+                f"later, to decide the moving channel; it is at sample {truth.move_sample}"
+            )
         switch_frame = truth.move_sample // stft_cfg.hop + 1
         everyone = tuple(range(truth.mixtures.shape[0]))
 
@@ -429,59 +426,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-DEMO_METHODS = (
-    ("iss_all", "iss", "all"),
-    ("iss_one", "iss", "one"),
-    ("ip_all", "ip", "all"),
-    ("ip_one", "ip", "one"),
-)
-
-
-def cmd_demo(args) -> int:
-    out_dir = Path(args.output_dir)
-    cfg = ScenarioConfig(
-        duration_s=args.duration_s, seed=args.seed, move_source=2, move_time_s=args.duration_s / 2.0
-    )
-    truth = scenario.build(cfg)
-    stft_cfg = StftConfig(sample_rate=cfg.sample_rate)
-    # every arm scores whole segments and runs mode 'one': check both before writing
-    metrics.check_segment_len(truth.mixtures.shape[1], args.segment_len)
-    _check_decidable_move(truth.move_sample, stft_cfg)
-    _write_scenario(truth, cfg, out_dir / "scenario")
-    rows: list[dict] = []
-    summary: dict = {
-        "config": {
-            "duration_s": cfg.duration_s,
-            "seed": cfg.seed,
-            "alpha": OnlineConfig.alpha,
-            "n_iter": OnlineConfig.n_iter,
-            "segment_len": args.segment_len,
-            "move_time_s": cfg.move_time_s,
-        },
-        "methods": {},
-    }
-    for label, method, mode in DEMO_METHODS:
-        estimates, info = run_moving_experiment(truth, stft_cfg, method, mode)
-        report = metrics.sdr_improvement(truth, estimates, segment_len=args.segment_len)
-        rows.extend(metrics.improvement_rows(label, report))
-        summary["methods"][label] = {
-            "overall_improvement_db": report.mean_overall_improvement,
-            "per_source_improvement_db": report.overall_improvement.tolist(),
-            "moving_channel": info["moving_channel"],
-            "runtime": {key: info[key] for key in ("update_loop_s", "projection_s", "stft_s", "total_s")},
-            "degenerate_updates": info["degenerate_updates"],
-        }
-        print(
-            f"{label:8s}  update loop {info['update_loop_s']:7.3f} s   "
-            f"improvement {report.mean_overall_improvement:6.2f} dB"
-        )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    metrics.write_csv(out_dir / "segsdr.csv", rows)
-    metrics.write_summary_json(out_dir / "summary.json", summary)
-    print(f"wrote {out_dir / 'segsdr.csv'} and {out_dir / 'summary.json'}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
@@ -537,13 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segment-len", type=int, default=metrics.DEFAULT_SEGMENT_LEN)
     p.add_argument("-o", "--output-dir", default="evaluation_out")
     p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("demo", help="moving-source comparison of IP/ISS x all/one")
-    p.add_argument("-o", "--output-dir", default="demo_out")
-    p.add_argument("--duration-s", dest="duration_s", type=float, default=ScenarioConfig.duration_s)
-    p.add_argument("--seed", type=int, default=ScenarioConfig.seed)
-    p.add_argument("--segment-len", type=int, default=metrics.DEFAULT_SEGMENT_LEN)
-    p.set_defaults(func=cmd_demo)
 
     return parser
 

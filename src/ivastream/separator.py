@@ -397,7 +397,9 @@ class OnlineAuxIva:
 
     @property
     def covariance(self) -> np.ndarray:
-        """The (K, F, K, K) weighted covariances, a read-only view (see :meth:`set_state`)."""
+        """The (K, F, K, K) weighted covariances, a read-only view (see :meth:`set_state`).
+        U is double-buffered, so that a frame that raises leaves it intact: a view held across
+        a frame shows the U before it, so read ``covariance`` again after each frame."""
         return _read_only(np.moveaxis(self._U, -1, 1))
 
     def set_state(self, demix=None, covariance=None) -> None:

@@ -1,6 +1,5 @@
 """Command-line surface: subcommands, file formats, exit codes."""
 
-import csv
 import importlib.util
 import json
 import re
@@ -209,13 +208,12 @@ CONTRACT_VIOLATIONS = {
     "frame_len_not_power_of_two": ("separate", "{mix}", "--frame-len", "1000"),
     "frame_len_1": ("separate", "{mix}", "--frame-len", "1"),
     "negative_seed_simulate": ("simulate", "--seed", "-1"),
-    "negative_seed_demo": ("demo", "--seed", "-1"),
     "switch_before_frame_1": ("separate", "{mix}", "--selector", "one:2:-5"),
     "missing_manifest": ("separate", "{mix}", "--manifest", "{tmp}/absent.json"),
     "malformed_manifest": ("separate", "{mix}", "--manifest", "{bad}"),
     "manifest_without_keys": ("separate", "{mix}", "--manifest", "{empty}"),
     "time_switch_in_parentheses": ("separate", "{mix}", "--selector", "one:3:t(30s)"),
-    "negative_duration": ("demo", "--duration-s", "-1"),
+    "negative_duration": ("simulate", "--duration-s", "-1"),
     "malformed_manifest_evaluate": ("evaluate", "{bad}", "{scen}"),
     "manifest_without_keys_evaluate": ("evaluate", "{empty}", "{scen}"),
     "zero_segment_len": (
@@ -397,8 +395,9 @@ def moving_scene():
 
 
 class TestPipeline:
-    """The pipeline behind ``separate`` and ``demo`` is the README's frame
-    loop, bit for bit, and so is the benchmark's chain."""
+    """The pipeline behind ``separate`` and each arm of the moving-source
+    comparison is the README's frame loop, bit for bit, and so is the
+    benchmark's chain."""
 
     @pytest.mark.parametrize("method", ["iss", "ip"])
     def test_run_separation_is_the_readme_loop(self, moving_scene, method):
@@ -466,60 +465,12 @@ class TestPipeline:
         assert np.array_equal(ours, theirs)
 
 
-@pytest.fixture(scope="module")
-def demo_dir(tmp_path_factory):
-    out = tmp_path_factory.mktemp("demo") / "run"
-    code = run_cli(
-        "demo", "--duration-s", "6", "--seed", "5", "--segment-len", "16000",
-        "-o", str(out),
-    )
-    assert code == 0
-    return out
-
-
-class TestDemo:
-    def test_csv_covers_four_methods(self, demo_dir):
-        with open(demo_dir / "segsdr.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        methods = {row["method"] for row in rows}
-        assert methods == {"iss_all", "iss_one", "ip_all", "ip_one"}
-        # 4 methods x 6 segments x 3 sources
-        assert len(rows) == 4 * 6 * 3
-
-    def test_summary_reports_runtimes_and_improvements(self, demo_dir):
-        summary = json.loads((demo_dir / "summary.json").read_text())
-        for label in ("iss_all", "iss_one", "ip_all", "ip_one"):
-            entry = summary["methods"][label]
-            assert entry["runtime"]["update_loop_s"] > 0
-            assert np.isfinite(entry["overall_improvement_db"])
-        assert (demo_dir / "scenario" / "manifest.json").exists()
-
-    @pytest.mark.parametrize(
-        "extra, fragment",
-        [((), "shorter than one segment"), (("--segment-len", "400"), "needs the move at sample 1024")],
-        ids=["scene_shorter_than_a_segment", "move_before_frame_len"],
-    )
-    def test_inputs_checked_before_anything_runs(self, tmp_path, capsys, extra, fragment):
-        out = tmp_path / "demo"
-        code = run_cli("demo", "--duration-s", "0.1", *extra, "-o", str(out))
-        captured = capsys.readouterr()
-        assert code == 2 and fragment in captured.err
-        assert captured.out == "" and not out.exists()
-
-    def test_deterministic_csv(self, demo_dir, tmp_path):
-        again = tmp_path / "again"
-        code = run_cli(
-            "demo", "--duration-s", "6", "--seed", "5", "--segment-len", "16000",
-            "-o", str(again),
-        )
-        assert code == 0
-        assert (again / "segsdr.csv").read_bytes() == (demo_dir / "segsdr.csv").read_bytes()
-
-
 def test_unknown_subcommand_exits_2():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["frobnicate"])
-    assert excinfo.value.code == 2
+    # the four-arm comparison is demos/03_moving_source_tracking.py, not a subcommand
+    for command in ("frobnicate", "demo"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command])
+        assert excinfo.value.code == 2
 
 
 def readme_commands():

@@ -94,6 +94,8 @@ class TestSegSdr:
     def test_bad_segment_len_rejected(self, rng):
         with pytest.raises(ContractViolationError):
             seg_sdr(rng.standard_normal(10), rng.standard_normal(10), segment_len=0)
+        with pytest.raises(ContractViolationError, match="shorter than one segment"):
+            seg_sdr(rng.standard_normal(10), rng.standard_normal(10), segment_len=11)
 
 
 class TestResolvePermutation:
