@@ -33,6 +33,6 @@ def check_number(name: str, value, low, high=np.inf, integer: bool = True) -> No
 
 def check_bins(ok, what: str) -> None:
     """Raise :class:`DegenerateUpdateError` naming the first 16 bins where ``ok`` is False."""
-    if not np.all(ok):
+    if not ok.all():
         bad = tuple(int(b) for b in np.flatnonzero(~np.atleast_1d(ok))[:16])
         raise DegenerateUpdateError(f"{what} at bins {bad}", bad)

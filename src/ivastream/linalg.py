@@ -51,10 +51,10 @@ def _as_matrix_batch(m, name: str = "matrix") -> tuple[np.ndarray, tuple[int, ..
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ContractViolationError(f"{name} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ContractViolationError(f"{name} has non-finite entries")
     k = m.shape[-1]
-    stack = np.moveaxis(m, (-2, -1), (0, 1)).reshape(k, k, -1)
+    stack = m.transpose(-2, -1, *range(m.ndim - 2)).reshape(k, k, -1)
     return stack.astype(np.complex128, copy=False), m.shape[:-2]
 
 
@@ -65,9 +65,9 @@ def lu_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     permutation, and ``ok`` (B,) flags members whose every pivot cleared
     the relative threshold.  Two trailing work columns carry each row's
     original scale (largest ``|entry|``) and index, so one ``np.where`` pair
-    swaps all three, and only for a candidate row some bin pivots on.  A
-    strict ``>`` chain over the candidates picks the pivot (a tie goes to
-    the first) and yields ``|pivot|`` for the singularity check."""
+    swaps all three, and only for a candidate row some bin pivots on.
+    ``max`` and ``argmax`` over the candidates' magnitudes give ``|pivot|``
+    for the singularity check and the pivot row (a tie goes to the first)."""
     k, nb = m.shape[0], m.shape[-1]
     work = np.empty((k, k + 2, nb), dtype=np.complex128)
     lu = work[:, :k]
@@ -77,13 +77,10 @@ def lu_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ok = np.ones(nb, dtype=bool)
     for j in range(k):
         mags = np.abs(lu[j:, j])
-        piv_mag, p = mags[0], j
-        for i in range(1, k - j):
-            wins = mags[i] > piv_mag
-            piv_mag, p = np.where(wins, mags[i], piv_mag), np.where(wins, j + i, p)
+        piv_mag, p = mags.max(axis=0), j + mags.argmax(axis=0)
         for i in range(j + 1, k):
             take = p == i
-            if np.any(take):
+            if take.any():
                 work[j], work[i] = np.where(take, work[i], work[j]), np.where(take, work[j], work[i])
         bad = piv_mag < SINGULAR_PIVOT_RTOL * work[j, k].real
         ok &= ~bad
@@ -102,10 +99,10 @@ def lu_solve(lu: np.ndarray, perm: np.ndarray, cols: list[int] | range | np.ndar
     k = lu.shape[0]
     x = (perm[:, None, :] == np.asarray(cols)[:, None]).astype(np.complex128)
     for j in range(1, k):
-        x[j] -= np.sum(lu[j, :j, None] * x[:j], axis=0)
+        x[j] -= (lu[j, :j, None] * x[:j]).sum(axis=0)
     for j in range(k - 1, -1, -1):
         if j + 1 < k:
-            x[j] -= np.sum(lu[j, j + 1 :, None] * x[j + 1 :], axis=0)
+            x[j] -= (lu[j, j + 1 :, None] * x[j + 1 :]).sum(axis=0)
         x[j] /= lu[j, j]
     return x
 
@@ -129,7 +126,7 @@ def masked_solve_unit(M, cols) -> tuple[np.ndarray, np.ndarray]:
     lu, perm, ok = lu_factor(stack)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = lu_solve(lu, perm, idx)
-    z = np.moveaxis(z, -1, 0).reshape(*batch_shape, dim, idx.size)
+    z = z.transpose(2, 0, 1).reshape(*batch_shape, dim, idx.size)
     return (z if np.ndim(cols) else z[..., 0]), ok.reshape(batch_shape)
 
 
@@ -141,10 +138,10 @@ def inverse(M) -> np.ndarray:
     op_counter.inversions += nb
     lu, perm, ok = lu_factor(stack)
     check_bins(ok, "singular matrix in inverse")
-    return np.moveaxis(lu_solve(lu, perm, range(dim)), -1, 0).reshape(*batch_shape, dim, dim)
+    return lu_solve(lu, perm, range(dim)).transpose(2, 0, 1).reshape(*batch_shape, dim, dim)
 
 
 def hermitian_part(m: np.ndarray, axes: tuple[int, int] = (-2, -1)) -> np.ndarray:
     """``(m + m^H) / 2`` over the matrix ``axes`` (the last two by default):
     exactly Hermitian, and equal to ``m`` bit for bit when ``m`` already is."""
-    return 0.5 * (m + np.conj(np.swapaxes(m, *axes)))
+    return 0.5 * (m + np.conj(m.swapaxes(*axes)))

@@ -56,6 +56,9 @@ state, and :meth:`OnlineAuxIva.set_state` is the one way to write it from
 outside.  The public functions keep the (F, ...) shapes and move axes on
 entry, which costs no copy for the engine's own views.  W and U_k (or v)
 share their leading axes; a mismatch is a :class:`ContractViolationError`.
+The frame's kernels call ndarray methods and ufuncs (``x.sum(axis=...)``,
+``ok.all()``, ``.transpose``), not the ``numpy`` wrappers: at K=3 a frame is
+bound by per-call cost, and each wrapper adds microseconds of Python dispatch.
 """
 
 from __future__ import annotations
@@ -232,7 +235,7 @@ def _read_only(view: np.ndarray) -> np.ndarray:
 
 def _demix(W: np.ndarray, x: np.ndarray) -> np.ndarray:
     # bins-last y = W x: (K, K, ...) against (K, ...)
-    return np.sum(W * x[None], axis=1)
+    return (W * x[None]).sum(axis=1)
 
 
 def _outer(x: np.ndarray) -> np.ndarray:
@@ -243,7 +246,7 @@ def _outer(x: np.ndarray) -> np.ndarray:
 def _activity(W: np.ndarray, x: np.ndarray) -> np.ndarray:
     # bins-last r_k = sqrt(sum_f |w_k,f^H x_f|^2); weight() floors it
     y = _demix(W, x)
-    return np.sqrt(np.sum(y.real**2 + y.imag**2, axis=-1))
+    return np.sqrt((y.real**2 + y.imag**2).sum(axis=-1))
 
 
 def ip_update_row(W: np.ndarray, U_k: np.ndarray, k: int) -> np.ndarray:
@@ -271,12 +274,12 @@ def _masked_ip_update(U_k: np.ndarray, A: np.ndarray, k: int, ok: np.ndarray) ->
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # a failed bin only spoils itself
         for j in range(n - 1):
             m[j + 1 :, j + 1 :] -= (m[j + 1 :, j] / m[j, j])[:, None] * m[j, j + 1 :]
-        floors = linalg.SINGULAR_PIVOT_RTOL * np.abs(np.diagonal(U_k, axis1=0, axis2=1))
-        pivots_ok = np.all(np.diagonal(m, axis1=0, axis2=1).real > floors, axis=-1)
+        floors = linalg.SINGULAR_PIVOT_RTOL * np.abs(U_k.diagonal(0, 0, 1))
+        pivots_ok = (m.diagonal(0, 0, 1).real > floors).all(axis=-1)
         z = m[:, n]
         for j in range(n - 1, -1, -1):
-            z[j] = (z[j] - np.sum(m[j, j + 1 : n] * z[j + 1 :], axis=0)) / m[j, j]
-        r = np.sum(np.conj(z)[:, None] * A, axis=0)  # r_k = z^H U_k z, the quadratic form
+            z[j] = (z[j] - (m[j, j + 1 : n] * z[j + 1 :]).sum(axis=0)) / m[j, j]
+        r = (np.conj(z)[:, None] * A).sum(axis=0)  # r_k = z^H U_k z, the quadratic form
         quad = r[k].real
         ok = ok & pivots_ok & (quad > 0)
         s = np.sqrt(quad)
@@ -306,10 +309,10 @@ def iss_vector(W: np.ndarray, U_all: np.ndarray, k: int) -> np.ndarray:
 def _masked_iss_vector(W: np.ndarray, U_all: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     # bins-last: W (K, K, ...), U_all (K, K, K, ...) -> v (K, ...), ok (...)
     # p[m] = U_m w_k  (in row storage: U_m @ conj(row k))
-    p = np.sum(U_all * np.conj(W[k]), axis=2)
-    num = np.sum(W * p, axis=1)
-    den = np.sum(W[k] * p, axis=1).real
-    ok = np.all(den > 0, axis=0)
+    p = (U_all * np.conj(W[k])).sum(axis=2)
+    num = (W * p).sum(axis=1)
+    den = (W[k] * p).sum(axis=1).real
+    ok = (den > 0).all(axis=0)
     den = np.maximum(den, DENOMINATOR_FLOOR)
     v = num / den
     diag = 1.0 / np.sqrt(den[k])
@@ -318,9 +321,9 @@ def _masked_iss_vector(W: np.ndarray, U_all: np.ndarray, k: int) -> tuple[np.nda
     return v, ok
 
 
-def _iss_apply(W: np.ndarray, v: np.ndarray, k: int, ok=True) -> None:
-    # bins-last and in place: W <- W - v w_k^H, with a zero step where not ok
-    if not np.all(ok):
+def _iss_apply(W: np.ndarray, v: np.ndarray, k: int, ok: np.ndarray | None = None) -> None:
+    # bins-last and in place: W <- W - v w_k^H, with a zero step where not ok (None: every bin ok)
+    if ok is not None and not ok.all():
         v = np.where(ok, v, 0.0)
     W -= v[:, None] * W[k]
 
@@ -393,14 +396,14 @@ class OnlineAuxIva:
     @property
     def demix(self) -> np.ndarray:
         """The (F, K, K) demixing matrices, a read-only view (see :meth:`set_state`)."""
-        return _read_only(np.moveaxis(self._W, -1, 0))
+        return _read_only(self._W.transpose(2, 0, 1))
 
     @property
     def covariance(self) -> np.ndarray:
         """The (K, F, K, K) weighted covariances, a read-only view (see :meth:`set_state`).
         U is double-buffered, so that a frame that raises leaves it intact: a view held across
         a frame shows the U before it, so read ``covariance`` again after each frame."""
-        return _read_only(np.moveaxis(self._U, -1, 1))
+        return _read_only(self._U.transpose(0, 3, 1, 2))
 
     def set_state(self, demix=None, covariance=None) -> None:
         """Write the demixing matrices, the covariances or both, in the shapes of :attr:`demix`
@@ -423,7 +426,7 @@ class OnlineAuxIva:
 
     def _iss_step(self, k: int) -> None:
         v, ok = _masked_iss_vector(self._W, self._U_next, k)
-        if not np.all(ok):  # degenerate bins keep their rows
+        if not ok.all():  # degenerate bins keep their rows
             self.diagnostics.record("iss_degenerate", np.count_nonzero(~ok))
         _iss_apply(self._W, v, k, ok)
         self.flops.iss_coefficients += FlopCounter.iss_coefficient_flops(self.n_src, self.n_bins)
@@ -432,7 +435,7 @@ class OnlineAuxIva:
     def _ip_step(self, k: int) -> None:
         w, ok = _masked_ip_update(self._U_next[k], self._A, k, self._A_ok)
         self._W[k] = np.where(ok, np.conj(w), self._W[k])
-        if not np.all(ok):  # degenerate bins keep their rows
+        if not ok.all():  # degenerate bins keep their rows
             self.diagnostics.record("ip_degenerate", np.count_nonzero(~ok))
 
     # -- public streaming API ----------------------------------------------

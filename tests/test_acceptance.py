@@ -46,7 +46,11 @@ SEGMENTS_PER_HALF = 15  # 30 s halves at the 2 s default segment
 
 @pytest.fixture(scope="module")
 def dynamic_experiment():
-    """5-seed moving-source comparison (60 s, source 3 switches at 30 s)."""
+    """5-seed moving-source comparison (60 s, source 3 switches at 30 s).
+
+    Each seed-0 arm keeps the fastest update loop of three interleaved runs:
+    criterion 8 compares wall clocks, and one run on a shared host can be
+    slowed by load that the other arms never see."""
     stft_cfg = StftConfig()
     runs = {}
     for seed in range(5):
@@ -57,6 +61,7 @@ def dynamic_experiment():
         arms = [("iss", "all"), ("iss", "one"), ("ip", "one")]
         if seed == 0:
             arms.append(("ip", "all"))
+            timed_arms, timed_truth = arms, truth
         for method, mode in arms:
             estimates, info = run_moving_experiment(truth, stft_cfg, method, mode)
             report = sdr_improvement(truth, estimates)
@@ -67,6 +72,11 @@ def dynamic_experiment():
                 "post": float(per_segment[SEGMENTS_PER_HALF:].mean()),
                 "update_s": info["update_loop_s"],
             }
+    for _ in range(2):
+        for method, mode in timed_arms:
+            _, info = run_moving_experiment(timed_truth, stft_cfg, method, mode)
+            run = runs[(0, f"{method}_{mode}")]
+            run["update_s"] = min(run["update_s"], info["update_loop_s"])
     return runs
 
 

@@ -1,5 +1,6 @@
 """Engine-level contracts: update rules, invariants, streaming behaviour."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -753,6 +754,24 @@ class TestEngine:
         growth = tracemalloc.get_traced_memory()[0] - baseline
         tracemalloc.stop()
         assert growth < 256_000  # temporaries are freed; state does not grow
+
+    @pytest.mark.parametrize("method, indices, budget", [("iss", (1,), 84), ("ip", (0, 1, 2), 164)])
+    def test_frame_call_budget(self, rng, method, indices, budget):
+        # a K=3, F=513 frame is bound by per-call cost, so its kernels call ndarray methods
+        # and ufuncs, not numpy's Python wrappers: one steady-state frame plus its projection
+        # makes 76 (ISS, one index) and 149 (IP, all) Python-level calls; the budget is those
+        # figures plus about 10%
+        engine = OnlineAuxIva(513, 3, OnlineConfig(method=method, selector=lambda t: indices))
+        frames = self.frames(rng, 4, 513, 3)
+        for x in frames[:3]:
+            project_back(engine.demix, engine.process_frame(x))
+        calls = []
+        sys.setprofile(lambda frame, event, arg: calls.append(event) if event == "call" else None)
+        try:
+            project_back(engine.demix, engine.process_frame(frames[3]))
+        finally:
+            sys.setprofile(None)
+        assert len(calls) <= budget
 
 
 class TestEngineLayoutProperties:
