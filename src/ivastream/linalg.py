@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, check_bins
+from .errors import ContractViolationError, check_bins, check_number
 
 #: A pivot smaller than this fraction of its row's magnitude flags the
 #: matrix as numerically singular.
@@ -111,7 +111,8 @@ def masked_solve_unit(M, cols) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``M z = e_c`` (``e_c`` the c-th canonical basis vector, 0-based)
     for a (stack of) square matrices, factorised once; returns ``(z, ok)``.
     ``cols`` is one index, giving z of shape ``(..., K)``, or a sequence, giving
-    ``(..., K, len(cols))`` whose column j solves for ``e_cols[j]``.
+    ``(..., K, len(cols))`` whose column j solves for ``e_cols[j]``; an index that is
+    not an integer in [0, K) (a bool or float included) is a :class:`ContractViolationError`.
 
     ``ok`` is False where the matrix is numerically singular, and entries
     of ``z`` there are unspecified.  Used by the streaming engine, whose
@@ -119,9 +120,9 @@ def masked_solve_unit(M, cols) -> tuple[np.ndarray, np.ndarray]:
     """
     stack, batch_shape = _as_matrix_batch(M, "M")
     dim, nb = stack.shape[0], stack.shape[-1]
+    for c in cols if np.ndim(cols) else (cols,):
+        check_number("source index", c, 0, dim)
     idx = np.atleast_1d(cols)
-    if not all(0 <= c < dim for c in idx):
-        raise ContractViolationError(f"source index {cols} out of range for K={dim}")
     op_counter.solves += nb
     lu, perm, ok = lu_factor(stack)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -7,15 +7,14 @@ The engine processes one STFT frame at a time:
    once per frame:
        X_f   <- (x_f x_f^H + (x_f x_f^H)^H) / 2           (exactly Hermitian)
        B_k,f <- alpha * U_k,f[prev frame]                  for every source
-       A_f   <- W_f^{-1}   (IP, on a frame that names an index and holds no A_f:
-                            the first, and the first after set_state(demix=...))
    for iter = 1..n_iter:              (1 pass when the schedule names no index)
        r_k   <- sqrt(sum_f |w_k^H x_f|^2)                 for every source
-       U_k,f <- (1 - alpha) * phi(r_k) * X_f + B_k,f      for every source
+       U_k,f <- (1 - alpha) * phi(r_k) * X_f + B_k,f      for every source, in place
        for k in the scheduled index set:
            ISS:  W_f <- W_f - v_k,f w_k,f^H   (rank-1, no solves)
-           IP:   row k of W_f <- w^H, w = U_k,f^{-1} a_k,f normalised; A_f rank-1
-   persist the last pass's U; emit y_f = W_f x_f
+           IP:   A_f <- W_f^{-1} if none is held (first step, first after set_state(demix=...));
+                 row k of W_f <- w^H, w = U_k,f^{-1} a_k,f normalised; A_f rank-1
+   emit y_f = W_f x_f
 ```
 
 Notes on conventions:
@@ -156,9 +155,9 @@ class OnlineConfig:
 class FlopCounter:
     """Analytic complex multiply-add counts, attributed per phase.
 
-    ``ip_update`` covers the IP path (the steering matrix on each anchor, the
-    first update frame and the first after each ``set_state(demix=...)``; per
-    index the solve of ``U_k z = a_k``, normalisation and update of A),
+    ``ip_update`` covers the IP path, tallied per IP step (the steering matrix on
+    each anchor, the first step and the first after each ``set_state(demix=...)``;
+    per index the solve of ``U_k z = a_k``, normalisation and update of A),
     ``iss_apply`` the rank-1 demixing update, and ``iss_coefficients`` the
     quadratic forms feeding it.  The demixing update proper therefore costs
     Theta(K^3 F) per source for IP and Theta(K^2 F) for ISS; the ISS
@@ -192,13 +191,14 @@ class FlopCounter:
 
     @staticmethod
     def ip_update_flops(k: int, f: int, n_updates: int, n_anchors: int = 1) -> int:
-        # per anchor (the first update frame, and the first after each
+        # per anchor (the first IP step, and the first after each
         # set_state(demix=...)), one factorisation of W: pivoted LU and K unit-vector
         # solves (k^2 each); per index update: elimination on [U_k | a_k],
         # back-substitution, z^H A (holding the quadratic form), w = z / s,
-        # the row c, and A -= a_k c
-        factor = sum((k - 1 - j) + (k - 1 - j) ** 2 for j in range(k))
-        eliminate = sum((k - 1 - j) * (k + 1 - j) for j in range(k))
+        # the row c, and A -= a_k c; closed forms of the sums over pivots j < k of
+        # (k-1-j) + (k-1-j)^2 (factor) and (k-1-j)(k+1-j) (eliminate)
+        factor = (k - 1) * k * (k + 1) // 3
+        eliminate = (k - 1) * k * (2 * k + 5) // 6
         update = eliminate + k * (k + 1) // 2 + 2 * k * k + 2 * k
         return f * (n_anchors * (factor + k**3) + n_updates * update)
 
@@ -386,9 +386,7 @@ class OnlineAuxIva:
         eye = np.eye(self.n_src, dtype=np.complex128)[:, :, None]
         self._W = np.repeat(eye, self.n_bins, axis=2)
         self._U = np.repeat(INIT_COVARIANCE_SCALE * self._W[None], self.n_src, axis=0)
-        # the frame's U, committed only on completion: a frame that raises leaves _U intact
-        self._U_next = np.empty_like(self._U)
-        # IP: the steering matrix A = W^{-1} and its per-bin ok mask; None until an update frame factorises W
+        # IP: the steering matrix A = W^{-1} and its per-bin ok mask; None until an IP step factorises W
         self._A = self._A_ok = None
         self.diagnostics = DiagnosticsLog()
         self._t = 0
@@ -400,16 +398,15 @@ class OnlineAuxIva:
 
     @property
     def covariance(self) -> np.ndarray:
-        """The (K, F, K, K) weighted covariances, a read-only view (see :meth:`set_state`).
-        U is double-buffered, so that a frame that raises leaves it intact: a view held across
-        a frame shows the U before it, so read ``covariance`` again after each frame."""
+        """The (K, F, K, K) weighted covariances, a read-only view (see :meth:`set_state`) that,
+        like :attr:`demix`, follows the state across frames: U is refreshed in place."""
         return _read_only(self._U.transpose(0, 3, 1, 2))
 
     def set_state(self, demix=None, covariance=None) -> None:
         """Write the demixing matrices, the covariances or both, in the shapes of :attr:`demix`
         and :attr:`covariance`.  A wrong shape (even one that would broadcast) or a non-finite
         entry in either raises :class:`ContractViolationError` before anything is written.  The
-        frame clock, diagnostics and flops are kept; the next IP update frame factorises a new W."""
+        frame clock, diagnostics and flops are kept; the next IP step factorises the new W."""
         new = {name: np.asarray(value, dtype=np.complex128)
                for name, value in (("demix", demix), ("covariance", covariance)) if value is not None}
         for name, value in new.items():
@@ -425,7 +422,7 @@ class OnlineAuxIva:
     # -- demixing updates, whole-array over bins ---------------------------
 
     def _iss_step(self, k: int) -> None:
-        v, ok = _masked_iss_vector(self._W, self._U_next, k)
+        v, ok = _masked_iss_vector(self._W, self._U, k)
         if not ok.all():  # degenerate bins keep their rows
             self.diagnostics.record("iss_degenerate", np.count_nonzero(~ok))
         _iss_apply(self._W, v, k, ok)
@@ -433,10 +430,15 @@ class OnlineAuxIva:
         self.flops.iss_apply += FlopCounter.iss_apply_flops(self.n_src, self.n_bins)
 
     def _ip_step(self, k: int) -> None:
-        w, ok = _masked_ip_update(self._U_next[k], self._A, k, self._A_ok)
+        anchor = self._A is None  # A, once factorised, is kept current by each step across frames
+        if anchor:  # the first IP step, or the first after set_state(demix=...)
+            A, self._A_ok = linalg.masked_solve_unit(self.demix, range(self.n_src))
+            self._A = np.moveaxis(A, 0, -1)
+        w, ok = _masked_ip_update(self._U[k], self._A, k, self._A_ok)
         self._W[k] = np.where(ok, np.conj(w), self._W[k])
         if not ok.all():  # degenerate bins keep their rows
             self.diagnostics.record("ip_degenerate", np.count_nonzero(~ok))
+        self.flops.ip_update += FlopCounter.ip_update_flops(self.n_src, self.n_bins, 1, int(anchor))
 
     # -- public streaming API ----------------------------------------------
 
@@ -444,8 +446,8 @@ class OnlineAuxIva:
         """Consume one (F, K) spectral frame, return the separated frame.
 
         Frame t (1-based) runs ``n_iter`` passes if the selector names an
-        index at t, else one covariance refresh pass, and persists the last
-        pass's covariance.  Its shape, an energy sum |x|^2 of at most
+        index at t, else one covariance refresh pass; each pass refreshes U in
+        place.  Its shape, an energy sum |x|^2 of at most
         :data:`ENERGY_CEILING` and its indices are checked first: a frame
         they reject leaves the engine, clock included, as it was.
         """
@@ -455,7 +457,12 @@ class OnlineAuxIva:
             raise ContractViolationError(f"frame must have shape ({f}, {k}), got {x.shape}")
         if not np.vdot(x, x).real <= ENERGY_CEILING:  # also rejects NaN
             raise ContractViolationError(f"frame has non-finite entries or energy above {ENERGY_CEILING:.3g}")
-        indices = tuple(self._indices_at(self._t + 1))
+        chosen = self._indices_at(self._t + 1)
+        try:  # iter() alone is guarded: an error that a returned generator raises passes through
+            it = iter(chosen)
+        except TypeError:
+            raise ContractViolationError(f"selector produced {chosen!r}, not integers in 0..{k - 1}") from None
+        indices = tuple(it)
         if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < k
                    for i in indices):
             raise ContractViolationError(f"selector produced indices {indices}, not integers in 0..{k - 1}")
@@ -465,23 +472,15 @@ class OnlineAuxIva:
         x = np.ascontiguousarray(x.T)
         outer = _outer(x)
         decayed = alpha * self._U
-        ip = bool(indices) and self.config.method == "ip"
-        if ip:  # the steering matrix, kept current by each IP step across frames
-            anchor = self._A is None
-            if anchor:  # the first update frame, or the first after set_state(demix=...)
-                A, self._A_ok = linalg.masked_solve_unit(self.demix, range(k))
-                self._A = np.moveaxis(A, 0, -1)
-            self.flops.ip_update += FlopCounter.ip_update_flops(k, f, passes * len(indices), int(anchor))
         for _ in range(passes):
             phi = weight(_activity(self._W, x))
             self.flops.activity += FlopCounter.activity_flops(k, f)
             coef = ((1.0 - alpha) * phi).astype(np.complex128)  # real-by-complex is numpy's slow path
-            np.multiply(coef[:, None, None, None], outer, out=self._U_next)
-            self._U_next += decayed
+            np.multiply(coef[:, None, None, None], outer, out=self._U)
+            self._U += decayed
             self.flops.covariance += k * FlopCounter.covariance_flops(k, f)
             for idx in indices:
                 self._step(idx)
-        self._U, self._U_next = self._U_next, self._U
         return _demix(self._W, x).T
 
     def project(self, y: np.ndarray) -> np.ndarray:

@@ -86,6 +86,10 @@ class TestSolveUnit:
             masked_solve_unit(np.eye(2), 5)
         with pytest.raises(ContractViolationError):
             masked_solve_unit(np.eye(2), [0, -1])
+        # not integers: a float would match no row of the one-hot right-hand side
+        for bad in (1.5, True, [0, 2.0]):
+            with pytest.raises(ContractViolationError, match="source index must be an integer"):
+                masked_solve_unit(np.eye(3), bad)
 
 
 class TestInverse:
