@@ -21,7 +21,6 @@ from ivastream import (
     sdr_improvement,
     synthesize,
 )
-from ivastream.stft import Spectrogram
 
 # --- scene ------------------------------------------------------------------
 cfg = ScenarioConfig(n_src=3, duration_s=20.0, seed=4)
@@ -33,14 +32,13 @@ stft_cfg = StftConfig()
 spec = analyze(truth.mixtures, stft_cfg)
 engine = OnlineAuxIva(spec.n_bins, 3, OnlineConfig(method="iss", alpha=0.99, n_iter=2))
 
-separated = np.empty_like(spec.data)
 for t in range(spec.n_frames):
     frame = np.ascontiguousarray(spec.data[:, t, :].T)   # (bins, channels)
     y = engine.process_frame(frame)                      # inverse-free updates
     y = engine.project(y)                                # fix per-source scale
-    separated[:, t, :] = y.T
+    spec.data[:, t, :] = y.T                             # over the frame it came from
 
-estimates = synthesize(Spectrogram(separated), stft_cfg, n_samples=truth.mixtures.shape[1])
+estimates = synthesize(spec, stft_cfg, n_samples=truth.mixtures.shape[1])
 
 # --- score ------------------------------------------------------------------
 report = sdr_improvement(truth, estimates)

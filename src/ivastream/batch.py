@@ -137,7 +137,7 @@ def batch_auxiva(problem: BatchProblem, method: str = "iss") -> BatchResult:
     n_bins, _, n_src = X.shape
     W = np.tile(np.eye(n_src, dtype=np.complex128), (n_bins, 1, 1))
     trace = [cost(W, spec)]
-    Y = X.copy() if method == "iss_inplace" else None
+    Y = X  # the in-place sweep rebinds Y and never writes into it
     for sweep in range(problem.n_iter):
         try:
             if method == "ip":

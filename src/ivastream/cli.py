@@ -174,7 +174,8 @@ def _run_pipeline(
 ):
     """The package's one frame loop, with an info dict: analyze, then per
     frame :meth:`OnlineAuxIva.process_frame` and :meth:`OnlineAuxIva.project`,
-    then synthesize.
+    then synthesize.  Each separated frame is written over the frame it
+    came from, so the stream is held in one spectrogram.
 
     When ``switch_frame`` (1-based) falls within the stream, ``at_switch``
     receives the synthesised estimates of the frames before it, untimed,
@@ -185,20 +186,20 @@ def _run_pipeline(
     spec = analyze(mixtures, stft_cfg)
     stft_s = time.perf_counter() - tic
     engine = OnlineAuxIva(spec.n_bins, n_src, online_cfg)
-    out = np.empty_like(spec.data)
     update_s = project_s = 0.0
     for t in range(spec.n_frames):
         if t + 1 == switch_frame:
-            at_switch(synthesize(Spectrogram(out[:, :t]), stft_cfg))
+            at_switch(synthesize(Spectrogram(spec.data[:, :t]), stft_cfg))
         tic = time.perf_counter()
         y = engine.process_frame(spec.data[:, t, :].T)
         toc = time.perf_counter()
         y = engine.project(y)
         update_s += toc - tic
         project_s += time.perf_counter() - toc
-        out[:, t, :] = y.T
+        spec.data[:, t, :] = y.T
     tic = time.perf_counter()
-    estimates = synthesize(Spectrogram(out), stft_cfg, n_samples=n_samples)
+    # re-wrapped, so the engine's outputs are checked finite before synthesis
+    estimates = synthesize(Spectrogram(spec.data), stft_cfg, n_samples=n_samples)
     stft_s += time.perf_counter() - tic
     info = {
         "update_loop_s": update_s,
@@ -431,18 +432,6 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_separation_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=("ip", "iss"), default=OnlineConfig.method)
-    p.add_argument(
-        "--selector",
-        default="all",
-        help="'all' or 'one:<k>:<switch>' with <switch> a frame index, '<sec>s' or 'auto'",
-    )
-    p.add_argument("--alpha", type=float, default=OnlineConfig.alpha)
-    p.add_argument("--n-iter", type=int, default=OnlineConfig.n_iter)
-    p.add_argument("--frame-len", type=int, default=StftConfig.frame_len)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ivastream",
@@ -470,7 +459,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("separate", help="run the streaming separator on a mixture WAV")
     p.add_argument("mixture", help="multichannel mixture WAV file")
     p.add_argument("--manifest", help="scenario manifest (enables selector switch 'auto')")
-    _add_separation_flags(p)
+    p.add_argument("--method", choices=("ip", "iss"), default=OnlineConfig.method)
+    p.add_argument(
+        "--selector",
+        default="all",
+        help="'all' or 'one:<k>:<switch>' with <switch> a frame index, '<sec>s' or 'auto'",
+    )
+    p.add_argument("--alpha", type=float, default=OnlineConfig.alpha)
+    p.add_argument("--n-iter", type=int, default=OnlineConfig.n_iter)
+    p.add_argument("--frame-len", type=int, default=StftConfig.frame_len)
     p.add_argument("-o", "--output-dir", default="separated_out")
     p.set_defaults(func=cmd_separate)
 

@@ -449,7 +449,8 @@ class OnlineAuxIva:
         index at t, else one covariance refresh pass; each pass refreshes U in
         place.  Its shape, an energy sum |x|^2 of at most
         :data:`ENERGY_CEILING` and its indices are checked first: a frame
-        they reject leaves the engine, clock included, as it was.
+        they reject leaves the engine, clock included, as it was.  No
+        reference to ``frame`` is kept, so a loop may write the output over it.
         """
         x = np.asarray(frame, dtype=np.complex128)
         k, f = self.n_src, self.n_bins
@@ -485,5 +486,6 @@ class OnlineAuxIva:
 
     def project(self, y: np.ndarray) -> np.ndarray:
         """Back-project the frame just processed onto microphone 1:
-        :func:`project_back` with the current demixing matrices."""
+        :func:`project_back` with the current demixing matrices, into a new
+        array that holds no reference to ``y``."""
         return project_back(self.demix, y)

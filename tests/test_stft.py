@@ -5,7 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ivastream.cli import run_separation
 from ivastream.errors import ContractViolationError
+from ivastream.separator import OnlineConfig
 from ivastream.stft import _BLOCK_FRAMES, Spectrogram, StftConfig, analyze, synthesize
 
 from conftest import random_complex
@@ -143,6 +145,27 @@ def test_analysis_working_set_does_not_grow_with_the_signal(rng):
         assert spec.n_frames == n_frames
         extra.append(peak - spec.data.nbytes)
     assert extra[0] <= 3 * block_bytes
+    assert abs(extra[1] - extra[0]) <= 3 * block_bytes
+
+
+def test_pipeline_holds_one_spectrogram(rng):
+    # the frame loop writes each separated frame over the frame it consumed,
+    # so beyond the analysed spectrogram and the estimates its working set
+    # does not grow with the stream
+    cfg = StftConfig(frame_len=1024)
+    block_bytes = 2 * _BLOCK_FRAMES * cfg.frame_len * 8  # one block of real frames
+    online_cfg = OnlineConfig(selector=lambda t: ())
+    extra = []
+    for n_frames in (4 * _BLOCK_FRAMES + 1, 16 * _BLOCK_FRAMES + 1):
+        signal = rng.standard_normal((2, (n_frames - 1) * cfg.hop))
+        tracemalloc.start()
+        try:
+            estimates, _ = run_separation(signal, cfg, online_cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        spec_bytes = 2 * n_frames * cfg.n_bins * 16
+        extra.append(peak - spec_bytes - estimates.nbytes)
     assert abs(extra[1] - extra[0]) <= 3 * block_bytes
 
 
