@@ -58,6 +58,8 @@ share their leading axes; a mismatch is a :class:`ContractViolationError`.
 The frame's kernels call ndarray methods and ufuncs (``x.sum(axis=...)``,
 ``ok.all()``, ``.transpose``), not the ``numpy`` wrappers: at K=3 a frame is
 bound by per-call cost, and each wrapper adds microseconds of Python dispatch.
+A complex array divided by a real per-bin array takes numpy's mixed-type loop,
+about twice a multiply, so the IP step multiplies by real reciprocals instead.
 """
 
 from __future__ import annotations
@@ -194,7 +196,7 @@ class FlopCounter:
         # per anchor (the first IP step, and the first after each
         # set_state(demix=...)), one factorisation of W: pivoted LU and K unit-vector
         # solves (k^2 each); per index update: elimination on [U_k | a_k],
-        # back-substitution, z^H A (holding the quadratic form), w = z / s,
+        # back-substitution, z^H A (holding the quadratic form), w = z s^-1,
         # the row c, and A -= a_k c; closed forms of the sums over pivots j < k of
         # (k-1-j) + (k-1-j)^2 (factor) and (k-1-j)(k+1-j) (eliminate)
         factor = (k - 1) * k * (k + 1) // 3
@@ -277,16 +279,17 @@ def _masked_ip_update(U_k: np.ndarray, A: np.ndarray, k: int, ok: np.ndarray) ->
         floors = linalg.SINGULAR_PIVOT_RTOL * np.abs(U_k.diagonal(0, 0, 1))
         pivots_ok = (m.diagonal(0, 0, 1).real > floors).all(axis=-1)
         z = m[:, n]
-        for j in range(n - 1, -1, -1):
+        z[n - 1] /= m[n - 1, n - 1]
+        for j in range(n - 2, -1, -1):
             z[j] = (z[j] - (m[j, j + 1 : n] * z[j + 1 :]).sum(axis=0)) / m[j, j]
         r = (np.conj(z)[:, None] * A).sum(axis=0)  # r_k = z^H U_k z, the quadratic form
         quad = r[k].real
         ok = ok & pivots_ok & (quad > 0)
-        s = np.sqrt(quad)
-        c = r / quad  # Sherman-Morrison for row k <- w^H: A_j -= a_k (w^H A_j - delta_jk) / s
-        c[k] -= 1.0 / s
-        A -= A[:, k, None] * np.where(ok, c, 0.0)[None]
-        return z / s, ok
+        inv_s = 1.0 / np.sqrt(quad)
+        c = r * (inv_s * inv_s)  # Sherman-Morrison for row k <- w^H: A_j -= a_k (w^H A_j - delta_jk) / s
+        c[k] -= inv_s
+        A -= A[:, k, None] * (c if ok.all() else np.where(ok, c, 0.0))[None]
+        return z * inv_s, ok
 
 
 def iss_vector(W: np.ndarray, U_all: np.ndarray, k: int) -> np.ndarray:
@@ -435,8 +438,10 @@ class OnlineAuxIva:
             A, self._A_ok = linalg.masked_solve_unit(self.demix, range(self.n_src))
             self._A = np.moveaxis(A, 0, -1)
         w, ok = _masked_ip_update(self._U[k], self._A, k, self._A_ok)
-        self._W[k] = np.where(ok, np.conj(w), self._W[k])
-        if not ok.all():  # degenerate bins keep their rows
+        if ok.all():
+            np.conjugate(w, out=self._W[k])
+        else:  # degenerate bins keep their rows
+            self._W[k] = np.where(ok, np.conj(w), self._W[k])
             self.diagnostics.record("ip_degenerate", np.count_nonzero(~ok))
         self.flops.ip_update += FlopCounter.ip_update_flops(self.n_src, self.n_bins, 1, int(anchor))
 
