@@ -8,9 +8,11 @@ entry, at no copy for a view of bins-last memory such as the engine's
 state, and move the result back once on exit.  In between, the
 partial-pivot LU kernels :func:`lu_factor` and :func:`lu_solve` take and
 return bins-last stacks only: every step is elementwise numpy over
-length-B vectors, with loops and reductions over K only.  A row carries
-its scale and index through the pivot swaps, and the solve takes unit
-vectors only, any number of them per factorisation.  The LU exposes the
+length-B vectors, with loops and reductions over K only.  The pivot row is
+found by a chain of strict ``>`` over the candidates, not an ``argmax``
+across rows, and a row carries its pivot threshold and index through the
+swaps; a step masks its pivot only where some bin fails it.  The solve takes
+unit vectors only, any number of them per factorisation.  The LU exposes the
 pivot magnitudes needed for the near-singularity check; numpy's black-box
 solvers do not.  :func:`hermitian_part` is the one symmetrisation behind
 every covariance the package builds, streaming and batch.
@@ -64,31 +66,43 @@ def lu_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     packs L (unit diagonal, implicit) and U, ``perm`` (K, B) is the row
     permutation, and ``ok`` (B,) flags members whose every pivot cleared
     the relative threshold.  Two trailing work columns carry each row's
-    original scale (largest ``|entry|``) and index, so one ``np.where`` pair
-    swaps all three, and only for a candidate row some bin pivots on.
-    ``max`` and ``argmax`` over the candidates' magnitudes give ``|pivot|``
-    for the singularity check and the pivot row (a tie goes to the first)."""
+    pivot threshold (``SINGULAR_PIVOT_RTOL`` times its original largest
+    ``|entry|``) and index, so one ``np.where`` pair swaps all three, and
+    only for a candidate row some bin pivots on.  A chain of strict ``>``
+    over the candidates' magnitudes gives ``|pivot|`` for the singularity
+    check and the pivot row: the last candidate to beat every row before it
+    wins, so a tie goes to the first."""
     k, nb = m.shape[0], m.shape[-1]
     work = np.empty((k, k + 2, nb), dtype=np.complex128)
     lu = work[:, :k]
     lu[...] = m
-    work[:, k] = np.maximum(np.maximum.reduce(np.abs(lu), axis=1), np.finfo(float).tiny)
+    mags = np.abs(lu)
+    work[:, k] = SINGULAR_PIVOT_RTOL * np.maximum(np.maximum.reduce(mags, axis=1), np.finfo(float).tiny)
     work[:, k + 1] = np.arange(k)[:, None]
+    mags = mags[:, 0]
     ok = np.ones(nb, dtype=bool)
     for j in range(k):
-        mags = np.abs(lu[j:, j])
-        piv_mag, p = mags.max(axis=0), j + mags.argmax(axis=0)
-        for i in range(j + 1, k):
-            take = p == i
+        piv_mag, takes = mags[0], []
+        for i in range(1, k - j):  # takes[i-1]: candidate i beats every candidate before it
+            takes.append(mags[i] > piv_mag)
+            piv_mag = np.maximum(piv_mag, mags[i])
+        later = None  # the bins that a candidate after the one at hand has taken
+        for i in range(k - j - 1, 0, -1):
+            take = takes[i - 1]
             if take.any():
-                work[j], work[i] = np.where(take, work[i], work[j]), np.where(take, work[j], work[i])
-        bad = piv_mag < SINGULAR_PIVOT_RTOL * work[j, k].real
-        ok &= ~bad
-        safe = np.where(bad, 1.0, lu[j, j])
+                sel = take if later is None else take > later
+                work[j], work[j + i] = np.where(sel, work[j + i], work[j]), np.where(sel, work[j], work[j + i])
+                later = take if later is None else later | take
+        bad = piv_mag < work[j, k].real
+        piv = lu[j, j]
+        if bad.any():
+            ok &= ~bad
+            piv = np.where(bad, 1.0, piv)
         if j + 1 < k:
-            mult = lu[j + 1 :, j] / safe
+            mult = lu[j + 1 :, j] / piv
             lu[j + 1 :, j] = mult
             lu[j + 1 :, j + 1 :] -= mult[:, None] * lu[j, j + 1 :]
+            mags = np.abs(lu[j + 1 :, j + 1])
     return lu, work[:, k + 1].real.astype(np.intp), ok
 
 
@@ -144,5 +158,9 @@ def inverse(M) -> np.ndarray:
 
 def hermitian_part(m: np.ndarray, axes: tuple[int, int] = (-2, -1)) -> np.ndarray:
     """``(m + m^H) / 2`` over the matrix ``axes`` (the last two by default):
-    exactly Hermitian, and equal to ``m`` bit for bit when ``m`` already is."""
-    return 0.5 * (m + np.conj(m.swapaxes(*axes)))
+    exactly Hermitian, and equal to ``m`` bit for bit when ``m`` already is.
+    The result is a new C-contiguous array."""
+    h = np.conjugate(m.swapaxes(*axes), order="C")
+    h += m
+    h *= 0.5
+    return h

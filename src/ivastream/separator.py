@@ -59,7 +59,8 @@ The frame's kernels call ndarray methods and ufuncs (``x.sum(axis=...)``,
 ``ok.all()``, ``.transpose``), not the ``numpy`` wrappers: at K=3 a frame is
 bound by per-call cost, and each wrapper adds microseconds of Python dispatch.
 A complex array divided by a real per-bin array takes numpy's mixed-type loop,
-about twice a multiply, so the IP step multiplies by real reciprocals instead.
+about twice a multiply, so the IP step and the ISS coefficients multiply by
+real reciprocals instead.
 """
 
 from __future__ import annotations
@@ -248,7 +249,8 @@ def _outer(x: np.ndarray) -> np.ndarray:
 def _activity(W: np.ndarray, x: np.ndarray) -> np.ndarray:
     # bins-last r_k = sqrt(sum_f |w_k,f^H x_f|^2); weight() floors it
     y = _demix(W, x)
-    return np.sqrt((y.real**2 + y.imag**2).sum(axis=-1))
+    y = y.view(np.float64)  # real and imaginary parts interleaved along the bins
+    return np.sqrt((y * y).sum(axis=-1))
 
 
 def ip_update_row(W: np.ndarray, U_k: np.ndarray, k: int) -> np.ndarray:
@@ -315,9 +317,9 @@ def _masked_iss_vector(W: np.ndarray, U_all: np.ndarray, k: int) -> tuple[np.nda
     p = (U_all * np.conj(W[k])).sum(axis=2)
     num = (W * p).sum(axis=1)
     den = (W[k] * p).sum(axis=1).real
-    ok = (den > 0).all(axis=0)
+    ok = den.min(axis=0) > 0
     den = np.maximum(den, DENOMINATOR_FLOOR)
-    v = num / den
+    v = num * (1.0 / den)
     diag = 1.0 / np.sqrt(den[k])
     v[k] = 1.0 - diag
     ok &= diag >= ISS_DIAGONAL_FLOOR
@@ -426,9 +428,10 @@ class OnlineAuxIva:
 
     def _iss_step(self, k: int) -> None:
         v, ok = _masked_iss_vector(self._W, self._U, k)
-        if not ok.all():  # degenerate bins keep their rows
+        healthy = ok.all()
+        if not healthy:  # degenerate bins keep their rows
             self.diagnostics.record("iss_degenerate", np.count_nonzero(~ok))
-        _iss_apply(self._W, v, k, ok)
+        _iss_apply(self._W, v, k, None if healthy else ok)
         self.flops.iss_coefficients += FlopCounter.iss_coefficient_flops(self.n_src, self.n_bins)
         self.flops.iss_apply += FlopCounter.iss_apply_flops(self.n_src, self.n_bins)
 

@@ -126,6 +126,7 @@ class TestHermitianPart:
         bins_last = np.moveaxis(m, 0, -1)
         out = hermitian_part(bins_last, axes=(0, 1))
         assert np.array_equal(np.moveaxis(out, -1, 0), hermitian_part(m))
+        assert out.flags.c_contiguous  # a new C-contiguous array, whatever the input's strides
 
 
 class TestOpCounter:
@@ -224,6 +225,21 @@ class TestLuShortcuts:
                 assert np.array_equal(perm[b], np.arange(k))
             elif kind == "swap_every_step":
                 assert np.array_equal(perm[b], np.roll(np.arange(k), -1))
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_singular_member_at_every_step(self, rng, k):
+        # the factor touches ok and masks the pivot only at a step where some bin
+        # fails, so each step j gets one member whose first failing pivot is j:
+        # column j is zero, so steps before j pivot as usual and step j's
+        # candidates are all exactly 0, with and without swaps before it
+        kinds = ["no_swap", "swap_every_step"]
+        m = [_matrix_of_kind(rng, kind, k) for kind in kinds]
+        for j in range(k):
+            member = _matrix_of_kind(rng, kinds[j % 2], k)
+            member[:, j] = 0.0
+            m.append(member)
+        _, ok = _factor_matches_reference(np.stack(m))
+        assert np.array_equal(ok, [True, True] + [False] * k)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("k", [1, 3, 8])

@@ -775,11 +775,11 @@ class TestEngine:
         tracemalloc.stop()
         assert growth < 256_000  # temporaries are freed; state does not grow
 
-    @pytest.mark.parametrize("method, indices, budget", [("iss", (1,), 84), ("ip", (0, 1, 2), 147)])
+    @pytest.mark.parametrize("method, indices, budget", [("iss", (1,), 78), ("ip", (0, 1, 2), 144)])
     def test_frame_call_budget(self, rng, method, indices, budget):
         # a K=3, F=513 frame is bound by per-call cost, so its kernels call ndarray methods
         # and ufuncs, not numpy's Python wrappers: one steady-state frame plus its projection
-        # makes 76 (ISS, one index) and 134 (IP, all) Python-level calls; the budget is those
+        # makes 71 (ISS, one index) and 131 (IP, all) Python-level calls; the budget is those
         # figures plus about 10%
         engine = OnlineAuxIva(513, 3, OnlineConfig(method=method, selector=lambda t: indices))
         frames = self.frames(rng, 4, 513, 3)
