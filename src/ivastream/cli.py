@@ -277,7 +277,7 @@ def _scenario_from_args(args) -> ScenarioConfig:
     if move_raw is None:
         move_raw = "3" if args.sources == 3 else "none"
     try:
-        move_source = None if move_raw.lower() in ("none", "0", "") else int(move_raw)
+        move_source = None if move_raw.lower() == "none" else int(move_raw)
     except ValueError as exc:
         raise ContractViolationError(f"move_source must be a 1-based index or 'none', got {move_raw!r}") from exc
     if move_source is not None:

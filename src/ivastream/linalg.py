@@ -12,10 +12,11 @@ length-B vectors, with loops and reductions over K only.  The pivot row is
 found by a chain of strict ``>`` over the candidates, not an ``argmax``
 across rows, and a row carries its pivot threshold and index through the
 swaps; a step masks its pivot only where some bin fails it.  The solve takes
-unit vectors only, any number of them per factorisation.  The LU exposes the
-pivot magnitudes needed for the near-singularity check; numpy's black-box
-solvers do not.  :func:`hermitian_part` is the one symmetrisation behind
-every covariance the package builds, streaming and batch.
+every unit vector at once: :func:`masked_solve_unit` is the masked inverse.
+The LU exposes the pivot magnitudes needed for the near-singularity
+check; numpy's black-box solvers do not.  :func:`hermitian_part` is the
+one symmetrisation behind every covariance the package builds, streaming
+and batch.
 
 ``op_counter`` tallies the matrices factorised for solves and those inverted
 since the last reset; the streaming ISS update path must leave it untouched."""
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, check_bins, check_number
+from .errors import ContractViolationError, check_bins
 
 #: A pivot smaller than this fraction of its row's magnitude flags the
 #: matrix as numerically singular.
@@ -106,12 +107,12 @@ def lu_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lu, work[:, k + 1].real.astype(np.intp), ok
 
 
-def lu_solve(lu: np.ndarray, perm: np.ndarray, cols: list[int] | range | np.ndarray) -> np.ndarray:
+def lu_solve(lu: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Solve against the bins-last ``(lu, perm)`` of :func:`lu_factor` for
-    the unit vectors ``e_c``, ``c`` in ``cols``; returns (K, len(cols), B).
-    The permuted right-hand side is the one-hot ``perm == c``."""
+    every unit vector at once; returns (K, K, B) whose column c solves for
+    ``e_c``.  The permuted right-hand side is the one-hot ``perm == c``."""
     k = lu.shape[0]
-    x = (perm[:, None, :] == np.asarray(cols)[:, None]).astype(np.complex128)
+    x = (perm[:, None, :] == np.arange(k)[:, None]).astype(np.complex128)
     for j in range(1, k):
         x[j] -= (lu[j, :j, None] * x[:j]).sum(axis=0)
     for j in range(k - 1, -1, -1):
@@ -121,28 +122,22 @@ def lu_solve(lu: np.ndarray, perm: np.ndarray, cols: list[int] | range | np.ndar
     return x
 
 
-def masked_solve_unit(M, cols) -> tuple[np.ndarray, np.ndarray]:
-    """Solve ``M z = e_c`` (``e_c`` the c-th canonical basis vector, 0-based)
-    for a (stack of) square matrices, factorised once; returns ``(z, ok)``.
-    ``cols`` is one index, giving z of shape ``(..., K)``, or a sequence, giving
-    ``(..., K, len(cols))`` whose column j solves for ``e_cols[j]``; an index that is
-    not an integer in [0, K) (a bool or float included) is a :class:`ContractViolationError`.
+def masked_solve_unit(M) -> tuple[np.ndarray, np.ndarray]:
+    """Masked inverse of a (stack of) square matrices, factorised once: returns
+    ``(z, ok)``, ``z`` of shape ``(..., K, K)`` (a single matrix too) whose
+    column c solves ``M z = e_c``, ``e_c`` the c-th canonical basis vector.
 
     ``ok`` is False where the matrix is numerically singular, and entries
     of ``z`` there are unspecified.  Used by the streaming engine, whose
-    per-bin error policy is freeze-and-log.
+    per-bin error policy is freeze-and-log; :func:`inverse` is the raising twin.
     """
     stack, batch_shape = _as_matrix_batch(M, "M")
     dim, nb = stack.shape[0], stack.shape[-1]
-    for c in cols if np.ndim(cols) else (cols,):
-        check_number("source index", c, 0, dim)
-    idx = np.atleast_1d(cols)
     op_counter.solves += nb
     lu, perm, ok = lu_factor(stack)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = lu_solve(lu, perm, idx)
-    z = z.transpose(2, 0, 1).reshape(*batch_shape, dim, idx.size)
-    return (z if np.ndim(cols) else z[..., 0]), ok.reshape(batch_shape)
+        z = lu_solve(lu, perm)
+    return z.transpose(2, 0, 1).reshape(*batch_shape, dim, dim), ok.reshape(batch_shape)
 
 
 def inverse(M) -> np.ndarray:
@@ -153,7 +148,7 @@ def inverse(M) -> np.ndarray:
     op_counter.inversions += nb
     lu, perm, ok = lu_factor(stack)
     check_bins(ok, "singular matrix in inverse")
-    return lu_solve(lu, perm, range(dim)).transpose(2, 0, 1).reshape(*batch_shape, dim, dim)
+    return lu_solve(lu, perm).transpose(2, 0, 1).reshape(*batch_shape, dim, dim)
 
 
 def hermitian_part(m: np.ndarray, axes: tuple[int, int] = (-2, -1)) -> np.ndarray:

@@ -257,20 +257,21 @@ def ip_update_row(W: np.ndarray, U_k: np.ndarray, k: int) -> np.ndarray:
     """Iterative-projection row update: solve ``(W U_k) w = e_k``, normalise.
 
     Returns the demixing *vector* w (its conjugate is stored as row k),
-    ``U_k^{-1} a_k`` normalised, ``a_k`` being column k of ``W^{-1}``.  W and
-    U_k share their leading axes.  Raises :class:`DegenerateUpdateError` naming
-    the bins where W is singular, U_k fails a pivot or ``w^H U_k w`` is not positive.
+    ``U_k^{-1} a_k`` normalised, ``a_k`` being column k of the masked inverse
+    ``W^{-1}``: one engine IP step from a fresh anchor.  W and U_k share their
+    leading axes.  Raises :class:`DegenerateUpdateError` naming the bins where W
+    is singular, U_k fails a pivot or ``w^H U_k w`` is not positive.
     """
     _check_shape("U_k", U_k, np.shape(W))
     check_number("k", k, 0, np.shape(W)[-1])
-    a, ok = linalg.masked_solve_unit(W, k)
-    w, ok = _masked_ip_update(_matrices_last(U_k), _matrices_last(a[..., None]), 0, ok)
+    A, ok = linalg.masked_solve_unit(W)
+    w, ok = _masked_ip_update(_matrices_last(U_k), _matrices_last(A), k, ok)
     check_bins(ok, f"singular solve or nonpositive quadratic form in IP update for source {k}")
     return np.moveaxis(w, 0, -1)
 
 
 def _masked_ip_update(U_k: np.ndarray, A: np.ndarray, k: int, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # bins-last: U_k (K, K, ...), steering columns A (K, n, ...) with a_k in column k
+    # bins-last: U_k (K, K, ...), steering matrix A = W^-1 (K, K, ...) with a_k in column k
     # -> w (K, ...), ok (...); A takes the row update in place on the ok bins.  U_k is
     # Hermitian positive definite: no pivoting, and pivot D_j needs Re D_j > rtol |U_k,jj|
     n = U_k.shape[0]
@@ -346,7 +347,7 @@ def iss_apply(W: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
         raise ContractViolationError("steering coefficients must be finite")
     check_bins(np.abs(1.0 - v[..., k]) >= ISS_DIAGONAL_FLOOR,
                f"ISS update for source {k} would annihilate its own row")
-    out = _matrices_last(W).copy()  # a new array, never the caller's
+    out = np.array(np.moveaxis(W, (-2, -1), (0, 1)), dtype=np.complex128, order="C")  # one copy, never the caller's
     _iss_apply(out, np.moveaxis(v, -1, 0), k)
     return np.moveaxis(out, (0, 1), (-2, -1))
 
@@ -438,7 +439,7 @@ class OnlineAuxIva:
     def _ip_step(self, k: int) -> None:
         anchor = self._A is None  # A, once factorised, is kept current by each step across frames
         if anchor:  # the first IP step, or the first after set_state(demix=...)
-            A, self._A_ok = linalg.masked_solve_unit(self.demix, range(self.n_src))
+            A, self._A_ok = linalg.masked_solve_unit(self.demix)
             self._A = np.moveaxis(A, 0, -1)
         w, ok = _masked_ip_update(self._U[k], self._A, k, self._A_ok)
         if ok.all():

@@ -221,6 +221,8 @@ CONTRACT_VIOLATIONS = {
         "{scen}/image_mic1_3.wav", "--segment-len", "0",
     ),
     "move_source_not_an_index": ("simulate", "--move-source", "third"),
+    "move_source_zero": ("simulate", "--move-source", "0"),
+    "move_source_empty": ("simulate", "--move-source", ""),
     "zero_sample_rate": ("simulate", "--sample-rate", "0", "--duration-s", "2"),
     "echoes_at_10_hz": (
         "simulate", "--mixing", "echoes", "--sample-rate", "10", "--duration-s", "2",

@@ -22,74 +22,51 @@ from oracles import lu_reference
 
 class TestSolveUnit:
     def test_identity(self):
-        z, ok = masked_solve_unit(np.eye(2, dtype=complex), 0)
+        z, ok = masked_solve_unit(np.eye(2, dtype=complex))
         assert ok
-        np.testing.assert_allclose(z, [1.0, 0.0])
+        np.testing.assert_allclose(z, np.eye(2))
 
     def test_diagonal_closed_form(self):
-        z, ok = masked_solve_unit(np.diag([4.0, 1.0]).astype(complex), 0)
+        z, ok = masked_solve_unit(np.diag([4.0, 1.0]).astype(complex))
         assert ok
-        np.testing.assert_allclose(z, [0.25, 0.0])
+        np.testing.assert_allclose(z[:, 0], [0.25, 0.0])
 
     def test_random_residual(self, rng):
         m = random_complex(rng, 3, 3)
-        z, ok = masked_solve_unit(m, 1)
+        z, ok = masked_solve_unit(m)
         assert ok
         e = np.zeros(3)
         e[1] = 1.0
-        assert np.linalg.norm(m @ z - e) <= 1e-10 * np.linalg.norm(z)
+        assert np.linalg.norm(m @ z[:, 1] - e) <= 1e-10 * np.linalg.norm(z[:, 1])
 
     def test_batched_matches_loop(self, rng):
         m = random_complex(rng, 7, 3, 3)
-        z, ok = masked_solve_unit(m, 2)
+        z, ok = masked_solve_unit(m)
+        assert z.shape == (7, 3, 3)
         assert np.all(ok)
         for i in range(7):
-            np.testing.assert_allclose(z[i], masked_solve_unit(m[i], 2)[0], rtol=1e-12)
+            np.testing.assert_allclose(z[i], masked_solve_unit(m[i])[0], rtol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_conditioned_up_to_1e6(self, seed):
         rng = np.random.default_rng(seed)
         condition = 10 ** rng.uniform(0, 6)
         m = random_conditioned(rng, 4, condition)
-        z, ok = masked_solve_unit(m, 3)
+        z, ok = masked_solve_unit(m)
         assert ok
         e = np.zeros(4)
         e[3] = 1.0
-        assert np.linalg.norm(m @ z - e) <= 1e-10 * np.linalg.norm(z)
+        assert np.linalg.norm(m @ z[:, 3] - e) <= 1e-10 * np.linalg.norm(z[:, 3])
 
     def test_singular_flagged_by_index(self, rng):
         m = random_complex(rng, 4, 2, 2)
         m[2, 1] = m[2, 0]  # rank-1
-        _, ok = masked_solve_unit(m, 0)
+        _, ok = masked_solve_unit(m)
         assert not ok[2]
-
-    def test_several_indices_match_one_index_calls_bitwise(self, rng):
-        m = random_complex(rng, 6, 3, 3)
-        m[4, 2] = m[4, 0]  # a singular member, so ok holds a False
-        cols = [2, 0, 2, 1]
-        op_counter.reset()
-        z, ok = masked_solve_unit(m, cols)
-        assert op_counter.solves == 6  # one factorisation per matrix
-        assert z.shape == (6, 3, len(cols))
-        assert np.array_equal(ok, [True, True, True, True, False, True])
-        for j, c in enumerate(cols):
-            z_c, ok_c = masked_solve_unit(m, c)
-            assert z[..., j].tobytes() == z_c.tobytes()
-            assert ok.tobytes() == ok_c.tobytes()
 
     def test_nonsquare_rejected(self):
         with pytest.raises(ContractViolationError):
-            masked_solve_unit(np.ones((2, 3)), 0)
-
-    def test_bad_index_rejected(self):
-        with pytest.raises(ContractViolationError):
-            masked_solve_unit(np.eye(2), 5)
-        with pytest.raises(ContractViolationError):
-            masked_solve_unit(np.eye(2), [0, -1])
-        # not integers: a float would match no row of the one-hot right-hand side
-        for bad in (1.5, True, [0, 2.0]):
-            with pytest.raises(ContractViolationError, match="source index must be an integer"):
-                masked_solve_unit(np.eye(3), bad)
+            masked_solve_unit(np.ones((2, 3)))
 
 
 class TestInverse:
@@ -132,7 +109,7 @@ class TestHermitianPart:
 class TestOpCounter:
     def test_counts_solves_and_inversions(self, rng):
         op_counter.reset()
-        masked_solve_unit(random_complex(rng, 5, 2, 2) + 3 * np.eye(2), 0)
+        masked_solve_unit(random_complex(rng, 5, 2, 2) + 3 * np.eye(2))
         assert op_counter.solves == 5
         inverse(random_complex(rng, 2, 2) + 3 * np.eye(2))
         assert op_counter.inversions == 1
@@ -195,14 +172,18 @@ class TestLuAgainstOracle:
             ref = np.linalg.inv(m[b])
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(inverse(m[b]) - ref)) <= 1e-12 * scale
+            z, ok_b = masked_solve_unit(m[b])
+            assert ok_b
             for j in range(k):
-                z, ok_b = masked_solve_unit(m[b], j)
-                assert ok_b
                 ref_z = np.linalg.solve(m[b], e[j])
-                assert np.max(np.abs(z - ref_z)) <= 1e-12 * np.max(np.abs(ref_z))
+                assert np.max(np.abs(z[:, j] - ref_z)) <= 1e-12 * np.max(np.abs(ref_z))
 
-        _, solve_ok = masked_solve_unit(m, k - 1)
+        # the two inverses agree: masked on the healthy bins, and on which bins are not
+        z, solve_ok = masked_solve_unit(m)
         assert np.array_equal(np.flatnonzero(~solve_ok), np.flatnonzero(~ok))
+        if ok.any():
+            ref = inverse(m[ok])
+            assert np.max(np.abs(z[ok] - ref)) <= 1e-12 * np.max(np.abs(ref))
         bad = tuple(int(b) for b in np.flatnonzero(~ok)[:16])
         if bad:
             with pytest.raises(DegenerateUpdateError) as excinfo:
@@ -273,7 +254,7 @@ class TestLayoutAndInputSafety:
 
     @pytest.mark.parametrize("k", range(3))
     def test_solve_on_engine_view_matches_contiguous_copy(self, engine_demix, k):
-        z, ok = masked_solve_unit(engine_demix, k)
-        z_ref, ok_ref = masked_solve_unit(np.ascontiguousarray(engine_demix), k)
-        assert z.tobytes() == z_ref.tobytes()
+        z, ok = masked_solve_unit(engine_demix)
+        z_ref, ok_ref = masked_solve_unit(np.ascontiguousarray(engine_demix))
+        assert z[..., k].tobytes() == z_ref[..., k].tobytes()
         assert np.array_equal(ok, ok_ref)
