@@ -7,7 +7,7 @@ The engine processes one STFT frame at a time:
    once per frame:
        X_f   <- (x_f x_f^H + (x_f x_f^H)^H) / 2           (exactly Hermitian)
        B_k,f <- alpha * U_k,f[prev frame]                  for every source
-   for iter = 1..n_iter:              (1 pass when the schedule names no index)
+   for iter = 1..n_iter:        (1 pass if the schedule names no index, or after frame WARMUP_FRAMES)
        r_k   <- sqrt(sum_f |w_k^H x_f|^2)                 for every source
        U_k,f <- (1 - alpha) * phi(r_k) * X_f + B_k,f      for every source, in place
        for k in the scheduled index set:
@@ -88,6 +88,9 @@ R_FLOOR = 1e-8
 #: Largest accepted frame energy sum |x|^2, so no product of two entries of x x^H overflows.
 ENERGY_CEILING = float(np.sqrt(np.finfo(np.float64).max))
 
+#: Update frames up to this frame (3 s at the default 512-sample hop) run ``n_iter`` passes, later ones one.
+WARMUP_FRAMES = 94
+
 
 def weight(r):
     """The Laplace prior's covariance weight ``phi(r) = 1/(2r)``, vectorised.
@@ -137,7 +140,8 @@ class OnlineConfig:
     """Streaming engine parameters (defaults follow the reference setup).
 
     ``selector`` is a callable ``t -> indices``, such as an
-    :class:`UpdateSchedule`, and ``None`` updates every source.
+    :class:`UpdateSchedule`, and ``None`` updates every source.  ``n_iter`` is
+    the pass count of update frames up to :data:`WARMUP_FRAMES`; later ones run one.
     """
 
     alpha: float = 0.99
@@ -412,7 +416,8 @@ class OnlineAuxIva:
         """Write the demixing matrices, the covariances or both, in the shapes of :attr:`demix`
         and :attr:`covariance`.  A wrong shape (even one that would broadcast) or a non-finite
         entry in either raises :class:`ContractViolationError` before anything is written.  The
-        frame clock, diagnostics and flops are kept; the next IP step factorises the new W."""
+        frame clock, diagnostics and flops are kept, so the warm-up is not re-armed; the next
+        IP step factorises the new W."""
         new = {name: np.asarray(value, dtype=np.complex128)
                for name, value in (("demix", demix), ("covariance", covariance)) if value is not None}
         for name, value in new.items():
@@ -455,11 +460,12 @@ class OnlineAuxIva:
         """Consume one (F, K) spectral frame, return the separated frame.
 
         Frame t (1-based) runs ``n_iter`` passes if the selector names an
-        index at t, else one covariance refresh pass; each pass refreshes U in
-        place.  Its shape, an energy sum |x|^2 of at most
-        :data:`ENERGY_CEILING` and its indices are checked first: a frame
-        they reject leaves the engine, clock included, as it was.  No
-        reference to ``frame`` is kept, so a loop may write the output over it.
+        index at t and t <= :data:`WARMUP_FRAMES`, else one pass (a covariance
+        refresh alone if it names none); each pass refreshes U in place.  Its
+        shape, an energy sum |x|^2 of at most :data:`ENERGY_CEILING` and its
+        indices are checked first: a frame they reject leaves the engine, clock
+        included, as it was.  No reference to ``frame`` is kept, so a loop may
+        write the output over it.
         """
         x = np.asarray(frame, dtype=np.complex128)
         k, f = self.n_src, self.n_bins
@@ -477,7 +483,7 @@ class OnlineAuxIva:
                    for i in indices):
             raise ContractViolationError(f"selector produced indices {indices}, not integers in 0..{k - 1}")
         self._t += 1
-        passes = self.config.n_iter if indices else 1
+        passes = self.config.n_iter if indices and self._t <= WARMUP_FRAMES else 1
         alpha = self.config.alpha
         x = np.ascontiguousarray(x.T)
         outer = _outer(x)

@@ -12,6 +12,7 @@ from ivastream.batch import cost
 from ivastream.errors import ContractViolationError, DegenerateUpdateError
 from ivastream.linalg import inverse, op_counter
 from ivastream.separator import (
+    WARMUP_FRAMES,
     FlopCounter,
     OnlineAuxIva,
     OnlineConfig,
@@ -22,7 +23,7 @@ from ivastream.separator import (
     project_back,
     weight,
 )
-from ivastream.stft import Spectrogram
+from ivastream.stft import Spectrogram, StftConfig
 
 from conftest import random_complex, random_psd
 from oracles import online_frame_reference
@@ -547,6 +548,40 @@ class TestEngine:
         np.testing.assert_allclose(engine.demix, w_ref, atol=1e-12)
         np.testing.assert_allclose(engine.covariance, u_ref, atol=1e-12)
 
+    @pytest.mark.parametrize("method", ["iss", "ip"])
+    def test_passes_fall_to_one_after_the_warm_up(self, method):
+        # update frames run n_iter passes up to frame WARMUP_FRAMES (3 s at the default hop)
+        # and one after; frames that name no index run one refresh pass on either side, and
+        # set_state after the warm-up keeps the clock, so it does not re-arm the second pass.
+        # Each frame starts the reference from the engine's own state, so the check is per
+        # frame and does not accumulate rounding over the 100 frames
+        cfg = StftConfig()
+        assert WARMUP_FRAMES == round(3.0 * cfg.sample_rate / cfg.hop)
+        rng = np.random.default_rng(7 + (method == "ip"))
+        n_bins, n_src, n_iter, alpha = 5, 3, 2, 0.9
+        every = tuple(range(n_src))
+        skipped = (2, WARMUP_FRAMES - 1, WARMUP_FRAMES + 2, WARMUP_FRAMES + 5)
+        engine = OnlineAuxIva(
+            n_bins, n_src,
+            OnlineConfig(method=method, n_iter=n_iter, alpha=alpha,
+                         selector=lambda t: () if t in skipped else every),
+        )
+        per_pass = FlopCounter.activity_flops(n_src, n_bins)
+        for t, x in enumerate(self.frames(rng, WARMUP_FRAMES + 6, n_bins, n_src), start=1):
+            if t == WARMUP_FRAMES + 3:
+                engine.set_state(*random_state(rng, n_src, n_bins))
+            w0, u0 = engine.demix.copy(), engine.covariance.copy()
+            activity = engine.flops.activity
+            y = engine.process_frame(x)
+            indices = () if t in skipped else every
+            passes = n_iter if indices and t <= WARMUP_FRAMES else 1
+            assert engine.flops.activity - activity == passes * per_pass
+            y_ref, w_ref, u_ref = online_frame_reference(w0, u0, x, alpha, passes, indices, method)
+            np.testing.assert_allclose(y, y_ref, atol=1e-12)
+            np.testing.assert_allclose(engine.demix, w_ref, atol=1e-12)
+            np.testing.assert_allclose(engine.covariance, u_ref, atol=1e-12)
+        assert engine.flops.activity == (2 * WARMUP_FRAMES - 2 + 6) * per_pass
+
     def test_selector_switch_restricts_updates(self, rng):
         n_bins, n_src, moving = 8, 3, 1
         schedule = UpdateSchedule.switch_to(n_src, moving, switch_frame=4)
@@ -775,20 +810,29 @@ class TestEngine:
         tracemalloc.stop()
         assert growth < 256_000  # temporaries are freed; state does not grow
 
-    @pytest.mark.parametrize("method, indices, budget", [("iss", (1,), 78), ("ip", (0, 1, 2), 144)])
-    def test_frame_call_budget(self, rng, method, indices, budget):
+    @pytest.mark.parametrize(
+        "method, indices, budget, n_frames",
+        [
+            pytest.param("iss", (1,), 78, 4, id="iss-indices0-78"),
+            pytest.param("ip", (0, 1, 2), 144, 4, id="ip-indices1-144"),
+            pytest.param("iss", (1,), 59, WARMUP_FRAMES + 1, id="iss-indices0-59-after-warm-up"),
+            pytest.param("ip", (0, 1, 2), 100, WARMUP_FRAMES + 1, id="ip-indices1-100-after-warm-up"),
+        ],
+    )
+    def test_frame_call_budget(self, rng, method, indices, budget, n_frames):
         # a K=3, F=513 frame is bound by per-call cost, so its kernels call ndarray methods
-        # and ufuncs, not numpy's Python wrappers: one steady-state frame plus its projection
-        # makes 71 (ISS, one index) and 131 (IP, all) Python-level calls; the budget is those
-        # figures plus about 10%
+        # and ufuncs, not numpy's Python wrappers: one frame plus its projection makes 71
+        # (ISS, one index) and 131 (IP, all) Python-level calls at frame 4, inside the
+        # warm-up's n_iter = 2 passes, and 54 and 91 after it, at one pass; each budget is
+        # its figure plus about 10%
         engine = OnlineAuxIva(513, 3, OnlineConfig(method=method, selector=lambda t: indices))
-        frames = self.frames(rng, 4, 513, 3)
-        for x in frames[:3]:
+        frames = self.frames(rng, n_frames, 513, 3)
+        for x in frames[:-1]:
             project_back(engine.demix, engine.process_frame(x))
         calls = []
         sys.setprofile(lambda frame, event, arg: calls.append(event) if event == "call" else None)
         try:
-            project_back(engine.demix, engine.process_frame(frames[3]))
+            project_back(engine.demix, engine.process_frame(frames[-1]))
         finally:
             sys.setprofile(None)
         assert len(calls) <= budget
