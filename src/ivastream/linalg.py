@@ -13,10 +13,11 @@ found by a chain of strict ``>`` over the candidates, not an ``argmax``
 across rows, and a row carries its pivot threshold and index through the
 swaps; a step masks its pivot only where some bin fails it.  The solve takes
 every unit vector at once: :func:`masked_solve_unit` is the masked inverse.
-The LU exposes the pivot magnitudes needed for the near-singularity
-check; numpy's black-box solvers do not.  :func:`hermitian_part` is the
-one symmetrisation behind every covariance the package builds, streaming
-and batch.
+``inverse(M, row=r)`` solves for row r of the inverse alone, the one row
+that back-projection reads.  The LU exposes the pivot magnitudes needed for
+the near-singularity check; numpy's black-box solvers do not.
+:func:`hermitian_part` is the one symmetrisation behind every covariance
+the package builds, streaming and batch.
 
 ``op_counter`` tallies the matrices factorised for solves and those inverted
 since the last reset; the streaming ISS update path must leave it untouched."""
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, check_bins
+from .errors import ContractViolationError, check_bins, check_number
 
 #: A pivot smaller than this fraction of its row's magnitude flags the
 #: matrix as numerically singular.
@@ -107,12 +108,10 @@ def lu_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lu, work[:, k + 1].real.astype(np.intp), ok
 
 
-def lu_solve(lu: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Solve against the bins-last ``(lu, perm)`` of :func:`lu_factor` for
-    every unit vector at once; returns (K, K, B) whose column c solves for
-    ``e_c``.  The permuted right-hand side is the one-hot ``perm == c``."""
+def _substitute(lu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Forward and back substitution against a bins-last packed LU, in place
+    on the permuted right-hand sides ``x`` (K, n, B); returns ``x``."""
     k = lu.shape[0]
-    x = (perm[:, None, :] == np.arange(k)[:, None]).astype(np.complex128)
     for j in range(1, k):
         x[j] -= (lu[j, :j, None] * x[:j]).sum(axis=0)
     for j in range(k - 1, -1, -1):
@@ -120,6 +119,14 @@ def lu_solve(lu: np.ndarray, perm: np.ndarray) -> np.ndarray:
             x[j] -= (lu[j, j + 1 :, None] * x[j + 1 :]).sum(axis=0)
         x[j] /= lu[j, j]
     return x
+
+
+def lu_solve(lu: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Solve against the bins-last ``(lu, perm)`` of :func:`lu_factor` for
+    every unit vector at once; returns (K, K, B) whose column c solves for
+    ``e_c``.  The permuted right-hand side is the one-hot ``perm == c``."""
+    k = lu.shape[0]
+    return _substitute(lu, (perm[:, None, :] == np.arange(k)[:, None]).astype(np.complex128))
 
 
 def masked_solve_unit(M) -> tuple[np.ndarray, np.ndarray]:
@@ -140,15 +147,23 @@ def masked_solve_unit(M) -> tuple[np.ndarray, np.ndarray]:
     return z.transpose(2, 0, 1).reshape(*batch_shape, dim, dim), ok.reshape(batch_shape)
 
 
-def inverse(M) -> np.ndarray:
-    """Matrix inverse of a (stack of) square matrices via the LU kernel;
+def inverse(M, row: int | None = None) -> np.ndarray:
+    """Matrix inverse of a (stack of) square matrices via the LU kernel, or
+    with ``row=r`` row r alone, shape ``(..., K)``: one solve ``M^T a = e_r``
+    against the LU of the transposed view.  Its pivot test runs on ``M^T``,
+    singular exactly when ``M`` is, with thresholds from ``M``'s column
+    maxima.  Either form counts one inversion per matrix and no solve, and
     raises :class:`DegenerateUpdateError` naming the singular ones."""
     stack, batch_shape = _as_matrix_batch(M, "M")
     dim, nb = stack.shape[0], stack.shape[-1]
+    if row is not None:
+        check_number("row", row, 0, dim)
     op_counter.inversions += nb
-    lu, perm, ok = lu_factor(stack)
+    lu, perm, ok = lu_factor(stack if row is None else stack.swapaxes(0, 1))
     check_bins(ok, "singular matrix in inverse")
-    return lu_solve(lu, perm).transpose(2, 0, 1).reshape(*batch_shape, dim, dim)
+    if row is None:
+        return lu_solve(lu, perm).transpose(2, 0, 1).reshape(*batch_shape, dim, dim)
+    return _substitute(lu, (perm == row)[:, None].astype(np.complex128))[:, 0].T.reshape(*batch_shape, dim)
 
 
 def hermitian_part(m: np.ndarray, axes: tuple[int, int] = (-2, -1)) -> np.ndarray:

@@ -359,12 +359,13 @@ def iss_apply(W: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
 def project_back(W: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Back-project separated bins onto microphone 1.
 
-    Per bin, ``A = W^{-1}`` and output ``k`` is scaled by ``A[0, k]`` (the
-    image of source k at the first microphone), so the outputs sum back to
-    the first mixture channel.  ``W`` is (F, K, K) and ``y`` is (F, K).
+    Per bin, output ``k`` is scaled by ``A[0, k]``, ``A = W^{-1}`` (the image
+    of source k at the first microphone), so the outputs sum back to the
+    first mixture channel.  One solve per bin gives row 0 of A, not all of
+    it.  ``W`` is (F, K, K) and ``y`` is (F, K).
     """
     _check_shape("y", y, np.shape(W)[:-1])
-    return linalg.inverse(W)[..., 0, :] * y
+    return linalg.inverse(W, row=0) * y
 
 
 class OnlineAuxIva:

@@ -385,6 +385,30 @@ class TestProjectBack:
         with pytest.raises(ContractViolationError):
             project_back(w, random_complex(rng, 4, 4, 2))
 
+    @pytest.mark.parametrize("n_bins", [1, 513])
+    @pytest.mark.parametrize("n_src", [1, 2, 3, 5, 8])
+    def test_matches_numpy_inverse(self, rng, n_src, n_bins):
+        w = random_complex(rng, n_bins, n_src, n_src) + 2 * np.eye(n_src)
+        y = random_complex(rng, n_bins, n_src)
+        expected = np.linalg.inv(w)[:, 0, :] * y
+        np.testing.assert_allclose(project_back(w, y), expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    def test_singular_bin_raises_naming_it(self, rng):
+        w = random_complex(rng, 6, 3, 3) + 2 * np.eye(3)
+        w[4, 2] = w[4, 0]  # rank 2
+        with pytest.raises(DegenerateUpdateError) as excinfo:
+            project_back(w, random_complex(rng, 6, 3))
+        assert excinfo.value.indices == (4,)
+
+    def test_iss_projection_is_one_inversion_per_bin_and_no_solve(self, rng):
+        # the test-suite twin of perfbench's iss_inverse_free check
+        n_bins = 33
+        engine = OnlineAuxIva(n_bins, 3, OnlineConfig(method="iss"))
+        op_counter.reset()
+        for t, x in enumerate(random_complex(rng, 20, n_bins, 3), start=1):
+            project_back(engine.demix, engine.process_frame(x))
+            assert (op_counter.solves, op_counter.inversions) == (0, t * n_bins)
+
     @pytest.mark.parametrize("method", ["iss", "ip"])
     def test_engine_projection_is_project_back(self, rng, method):
         engine = OnlineAuxIva(6, 3, OnlineConfig(method=method))
@@ -811,31 +835,39 @@ class TestEngine:
         assert growth < 256_000  # temporaries are freed; state does not grow
 
     @pytest.mark.parametrize(
-        "method, indices, budget, n_frames",
+        "method, indices, budget, after_warm_up",
         [
-            pytest.param("iss", (1,), 78, 4, id="iss-indices0-78"),
-            pytest.param("ip", (0, 1, 2), 144, 4, id="ip-indices1-144"),
-            pytest.param("iss", (1,), 59, WARMUP_FRAMES + 1, id="iss-indices0-59-after-warm-up"),
-            pytest.param("ip", (0, 1, 2), 100, WARMUP_FRAMES + 1, id="ip-indices1-100-after-warm-up"),
+            pytest.param("iss", (1,), 81, False, id="iss-one-warm-up"),
+            pytest.param("iss", (0, 1, 2), 134, False, id="iss-all-warm-up"),
+            pytest.param("ip", (0, 1, 2), 154, False, id="ip-all-warm-up"),
+            pytest.param("iss", (1,), 63, True, id="iss-one-after-warm-up"),
+            pytest.param("iss", (0, 1, 2), 94, True, id="iss-all-after-warm-up"),
+            pytest.param("ip", (0, 1, 2), 103, True, id="ip-all-after-warm-up"),
         ],
     )
-    def test_frame_call_budget(self, rng, method, indices, budget, n_frames):
+    def test_frame_call_budget(self, rng, method, indices, budget, after_warm_up):
         # a K=3, F=513 frame is bound by per-call cost, so its kernels call ndarray methods
-        # and ufuncs, not numpy's Python wrappers: one frame plus its projection makes 71
-        # (ISS, one index) and 131 (IP, all) Python-level calls at frame 4, inside the
-        # warm-up's n_iter = 2 passes, and 54 and 91 after it, at one pass; each budget is
-        # its figure plus about 10%
+        # and ufuncs, not numpy's Python wrappers.  The projection's pivoted LU makes one
+        # np.where pair per row swap, so the count depends on the frame data: the budget
+        # holds for the largest count over every 4th frame of a window, the last 17 frames
+        # of the warm-up's n_iter = 2 passes or the first 17 after it, at one pass.  One
+        # frame plus its projection makes at most 74, 122 and 140 Python-level calls
+        # (ISS one index, ISS all, IP all) in the first window and 57, 85 and 94 in the
+        # second; each budget is its figure plus about 10%
         engine = OnlineAuxIva(513, 3, OnlineConfig(method=method, selector=lambda t: indices))
-        frames = self.frames(rng, n_frames, 513, 3)
-        for x in frames[:-1]:
-            project_back(engine.demix, engine.process_frame(x))
-        calls = []
-        sys.setprofile(lambda frame, event, arg: calls.append(event) if event == "call" else None)
-        try:
-            project_back(engine.demix, engine.process_frame(frames[-1]))
-        finally:
-            sys.setprofile(None)
-        assert len(calls) <= budget
+        first = WARMUP_FRAMES + 4 if after_warm_up else WARMUP_FRAMES - 16
+        counted = range(first, first + 17, 4)
+        largest = 0
+        for t, x in enumerate(self.frames(rng, counted[-1], 513, 3), start=1):
+            calls = []
+            if t in counted:
+                sys.setprofile(lambda frame, event, arg: calls.append(event) if event == "call" else None)
+            try:
+                project_back(engine.demix, engine.process_frame(x))
+            finally:
+                sys.setprofile(None)
+            largest = max(largest, len(calls))
+        assert largest <= budget
 
 
 class TestEngineLayoutProperties:
