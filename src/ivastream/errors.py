@@ -25,8 +25,9 @@ def check_number(name: str, value, low, high=np.inf, integer: bool = True) -> No
     """Raise :class:`ContractViolationError`, naming the setting, its range and
     the value, unless ``value`` is a Python or numpy integer (any real number
     if not ``integer``), never a bool, and ``low <= value < high``, a
-    comparison that also rejects NaN and +-inf."""
-    if isinstance(value, bool) or not isinstance(value, Integral if integer else Real) or not low <= value < high:
+    comparison that also rejects NaN and +-inf.  An exact ``int`` skips the ABC hooks."""
+    typed = type(value) is int or not isinstance(value, bool) and isinstance(value, Integral if integer else Real)
+    if not typed or not low <= value < high:
         kind = "an integer" if integer else "a real number"
         raise ContractViolationError(f"{name} must be {kind} in [{low}, {high}), got {value!r}")
 

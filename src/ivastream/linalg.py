@@ -6,16 +6,15 @@ axes are a batch (the engine batches over frequency bins).  The solve and
 the inverse move a stack to a **bins-last** ``(K, K, B)`` array once on
 entry, at no copy for a view of bins-last memory such as the engine's
 state, and move the result back once on exit.  In between, the
-partial-pivot LU kernels :func:`lu_factor` and :func:`lu_solve` take and
-return bins-last stacks only: every step is elementwise numpy over
-length-B vectors, with loops and reductions over K only.  The pivot row is
-found by a chain of strict ``>`` over the candidates, not an ``argmax``
-across rows, and a row carries its pivot threshold and index through the
-swaps; a step masks its pivot only where some bin fails it.  The solve takes
-every unit vector at once: :func:`masked_solve_unit` is the masked inverse.
-``inverse(M, row=r)`` solves for row r of the inverse alone, the one row
-that back-projection reads.  The LU exposes the pivot magnitudes needed for
-the near-singularity check; numpy's black-box solvers do not.
+kernels take and return bins-last stacks only: every step is elementwise
+numpy over length-B vectors, with loops and reductions over K only.  One
+partial-pivot elimination, with one pivot rule, serves both the LU
+(:func:`lu_factor`, solved by :func:`lu_solve` for every unit vector at
+once: :func:`masked_solve_unit` is the masked inverse) and
+``inverse(M, row=r)``, which eliminates ``[M^T | e_r]`` for row r of the
+inverse alone, the one row that back-projection reads.  The elimination
+exposes the pivot magnitudes needed for the near-singularity check; numpy's
+black-box solvers do not.
 :func:`hermitian_part` is the one symmetrisation behind every covariance
 the package builds, streaming and batch.
 
@@ -33,6 +32,7 @@ from .errors import ContractViolationError, check_bins, check_number
 #: A pivot smaller than this fraction of its row's magnitude flags the
 #: matrix as numerically singular.
 SINGULAR_PIVOT_RTOL = 1e-13
+_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -49,39 +49,39 @@ class OpCounter:
 op_counter = OpCounter()
 
 
-def _as_matrix_batch(m, name: str = "matrix") -> tuple[np.ndarray, tuple[int, ...]]:
+def _as_matrix_batch(m) -> tuple[np.ndarray, tuple[int, ...]]:
     """Coerce to a complex bins-last (K, K, B) stack; returns (stack,
-    original batch shape)."""
+    original batch shape).  :func:`_eliminate` checks finiteness."""
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ContractViolationError(f"{name} must be square, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ContractViolationError(f"{name} has non-finite entries")
+        raise ContractViolationError(f"M must be square, got shape {m.shape}")
     k = m.shape[-1]
     stack = m.transpose(-2, -1, *range(m.ndim - 2)).reshape(k, k, -1)
     return stack.astype(np.complex128, copy=False), m.shape[:-2]
 
 
-def lu_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Partial-pivot LU of a bins-last (K, K, B) stack, vectorised over B;
-    ``m`` is left unchanged.  Returns ``(lu, perm, ok)``: ``lu`` (K, K, B)
-    packs L (unit diagonal, implicit) and U, ``perm`` (K, B) is the row
-    permutation, and ``ok`` (B,) flags members whose every pivot cleared
-    the relative threshold.  Two trailing work columns carry each row's
-    pivot threshold (``SINGULAR_PIVOT_RTOL`` times its original largest
-    ``|entry|``) and index, so one ``np.where`` pair swaps all three, and
-    only for a candidate row some bin pivots on.  A chain of strict ``>``
-    over the candidates' magnitudes gives ``|pivot|`` for the singularity
-    check and the pivot row: the last candidate to beat every row before it
-    wins, so a tie goes to the first."""
+def _eliminate(m: np.ndarray, row: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Partial-pivot elimination of the bins-last (K, K, B) stack ``m`` (left
+    unchanged) in a (K, K + 2, B) work stack; returns ``(work, ok)``, ``ok``
+    (B,) flagging members whose every pivot cleared its threshold.  Column K
+    rides along through the swaps: the row index, with the multipliers kept
+    as L, or with ``row=r`` the unit vector ``e_r``, eliminated with the rows,
+    so no L is kept and a swap skips the columns before the step.  Column
+    K + 1 carries each row's pivot threshold, ``SINGULAR_PIVOT_RTOL`` times
+    its largest ``|entry|``, non-finite exactly when the row is.  A chain of
+    strict ``>`` over the candidates' magnitudes gives ``|pivot|`` and the
+    pivot row (a tie goes to the first); a row some bin pivots on swaps by one
+    ``np.where`` pair."""
     k, nb = m.shape[0], m.shape[-1]
     work = np.empty((k, k + 2, nb), dtype=np.complex128)
-    lu = work[:, :k]
-    lu[...] = m
-    mags = np.abs(lu)
-    work[:, k] = SINGULAR_PIVOT_RTOL * np.maximum(np.maximum.reduce(mags, axis=1), np.finfo(float).tiny)
-    work[:, k + 1] = np.arange(k)[:, None]
-    mags = mags[:, 0]
+    work[:, :k] = m
+    work[:, k] = np.arange(k)[:, None] if row is None else np.arange(k)[:, None] == row
+    mags = np.abs(work[:, :k])
+    scale = np.maximum.reduce(mags, axis=1)
+    if not np.isfinite(scale).all():
+        raise ContractViolationError("M has non-finite entries")
+    work[:, k + 1] = SINGULAR_PIVOT_RTOL * np.maximum(scale, _TINY)
+    mags, rhs = mags[:, 0], row is not None
     ok = np.ones(nb, dtype=bool)
     for j in range(k):
         piv_mag, takes = mags[0], []
@@ -93,31 +93,40 @@ def lu_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             take = takes[i - 1]
             if take.any():
                 sel = take if later is None else take > later
-                work[j], work[j + i] = np.where(sel, work[j + i], work[j]), np.where(sel, work[j], work[j + i])
+                a, b = work[j, j * rhs :], work[j + i, j * rhs :]
+                work[j, j * rhs :], work[j + i, j * rhs :] = np.where(sel, b, a), np.where(sel, a, b)
                 later = take if later is None else later | take
-        bad = piv_mag < work[j, k].real
-        piv = lu[j, j]
+        bad = piv_mag < work[j, k + 1].real
+        piv = work[j, j]
         if bad.any():
             ok &= ~bad
             piv = np.where(bad, 1.0, piv)
         if j + 1 < k:
-            mult = lu[j + 1 :, j] / piv
-            lu[j + 1 :, j] = mult
-            lu[j + 1 :, j + 1 :] -= mult[:, None] * lu[j, j + 1 :]
-            mags = np.abs(lu[j + 1 :, j + 1])
-    return lu, work[:, k + 1].real.astype(np.intp), ok
+            mult = work[j + 1 :, j] / piv
+            if not rhs:
+                work[j + 1 :, j] = mult
+            work[j + 1 :, j + 1 : k + rhs] -= mult[:, None] * work[j, j + 1 : k + rhs]
+            mags = np.abs(work[j + 1 :, j + 1])
+    return work, ok
 
 
-def _substitute(lu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Forward and back substitution against a bins-last packed LU, in place
-    on the permuted right-hand sides ``x`` (K, n, B); returns ``x``."""
-    k = lu.shape[0]
-    for j in range(1, k):
-        x[j] -= (lu[j, :j, None] * x[:j]).sum(axis=0)
+def lu_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Partial-pivot LU of a finite bins-last (K, K, B) stack, left unchanged,
+    by :func:`_eliminate`.  Returns ``(lu, perm, ok)``: ``lu`` (K, K, B) packs
+    L (unit diagonal, implicit) and U, ``perm`` (K, B) is the row permutation,
+    and ``ok`` (B,) flags members whose every pivot cleared its threshold."""
+    work, ok = _eliminate(m)
+    return work[:, : m.shape[0]], work[:, m.shape[0]].real.astype(np.intp), ok
+
+
+def _back_substitute(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Back substitution against the upper triangle of ``u``'s first K columns,
+    in place on the bins-last right-hand sides ``x`` (K, n, B); returns ``x``."""
+    k = x.shape[0]
     for j in range(k - 1, -1, -1):
         if j + 1 < k:
-            x[j] -= (lu[j, j + 1 :, None] * x[j + 1 :]).sum(axis=0)
-        x[j] /= lu[j, j]
+            x[j] -= (u[j, j + 1 : k, None] * x[j + 1 :]).sum(axis=0)
+        x[j] /= u[j, j]
     return x
 
 
@@ -126,7 +135,10 @@ def lu_solve(lu: np.ndarray, perm: np.ndarray) -> np.ndarray:
     every unit vector at once; returns (K, K, B) whose column c solves for
     ``e_c``.  The permuted right-hand side is the one-hot ``perm == c``."""
     k = lu.shape[0]
-    return _substitute(lu, (perm[:, None, :] == np.arange(k)[:, None]).astype(np.complex128))
+    x = (perm[:, None, :] == np.arange(k)[:, None]).astype(np.complex128)
+    for j in range(1, k):
+        x[j] -= (lu[j, :j, None] * x[:j]).sum(axis=0)
+    return _back_substitute(lu, x)
 
 
 def masked_solve_unit(M) -> tuple[np.ndarray, np.ndarray]:
@@ -138,10 +150,10 @@ def masked_solve_unit(M) -> tuple[np.ndarray, np.ndarray]:
     of ``z`` there are unspecified.  Used by the streaming engine, whose
     per-bin error policy is freeze-and-log; :func:`inverse` is the raising twin.
     """
-    stack, batch_shape = _as_matrix_batch(M, "M")
+    stack, batch_shape = _as_matrix_batch(M)
     dim, nb = stack.shape[0], stack.shape[-1]
-    op_counter.solves += nb
     lu, perm, ok = lu_factor(stack)
+    op_counter.solves += nb
     with np.errstate(divide="ignore", invalid="ignore"):
         z = lu_solve(lu, perm)
     return z.transpose(2, 0, 1).reshape(*batch_shape, dim, dim), ok.reshape(batch_shape)
@@ -149,21 +161,23 @@ def masked_solve_unit(M) -> tuple[np.ndarray, np.ndarray]:
 
 def inverse(M, row: int | None = None) -> np.ndarray:
     """Matrix inverse of a (stack of) square matrices via the LU kernel, or
-    with ``row=r`` row r alone, shape ``(..., K)``: one solve ``M^T a = e_r``
-    against the LU of the transposed view.  Its pivot test runs on ``M^T``,
-    singular exactly when ``M`` is, with thresholds from ``M``'s column
-    maxima.  Either form counts one inversion per matrix and no solve, and
-    raises :class:`DegenerateUpdateError` naming the singular ones."""
-    stack, batch_shape = _as_matrix_batch(M, "M")
+    with ``row=r`` row r alone, shape ``(..., K)``: ``[M^T | e_r]`` eliminated
+    as the LU pivots ``M^T`` (singular exactly when ``M`` is, with thresholds
+    from ``M``'s column maxima), then one back substitution.  Either form
+    counts one inversion per matrix and no solve, and raises
+    :class:`DegenerateUpdateError` naming the singular ones."""
+    stack, batch_shape = _as_matrix_batch(M)
     dim, nb = stack.shape[0], stack.shape[-1]
-    if row is not None:
+    if row is None:
+        lu, perm, ok = lu_factor(stack)
+    else:
         check_number("row", row, 0, dim)
+        work, ok = _eliminate(stack.swapaxes(0, 1), row)
     op_counter.inversions += nb
-    lu, perm, ok = lu_factor(stack if row is None else stack.swapaxes(0, 1))
     check_bins(ok, "singular matrix in inverse")
     if row is None:
         return lu_solve(lu, perm).transpose(2, 0, 1).reshape(*batch_shape, dim, dim)
-    return _substitute(lu, (perm == row)[:, None].astype(np.complex128))[:, 0].T.reshape(*batch_shape, dim)
+    return _back_substitute(work, work[:, dim : dim + 1])[:, 0].T.reshape(*batch_shape, dim)
 
 
 def hermitian_part(m: np.ndarray, axes: tuple[int, int] = (-2, -1)) -> np.ndarray:

@@ -361,8 +361,8 @@ def project_back(W: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Per bin, output ``k`` is scaled by ``A[0, k]``, ``A = W^{-1}`` (the image
     of source k at the first microphone), so the outputs sum back to the
-    first mixture channel.  One solve per bin gives row 0 of A, not all of
-    it.  ``W`` is (F, K, K) and ``y`` is (F, K).
+    first mixture channel.  One elimination of ``[W^T | e_0]`` per bin gives
+    row 0 of A, not all of it.  ``W`` is (F, K, K) and ``y`` is (F, K).
     """
     _check_shape("y", y, np.shape(W)[:-1])
     return linalg.inverse(W, row=0) * y

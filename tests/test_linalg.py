@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivastream.errors import ContractViolationError, DegenerateUpdateError
-from ivastream.separator import OnlineAuxIva, OnlineConfig
+from ivastream.separator import OnlineAuxIva, OnlineConfig, project_back
 from ivastream.linalg import (
     SINGULAR_PIVOT_RTOL,
     inverse,
@@ -124,6 +124,21 @@ class TestInverseRow:
                 inverse(m, row=r)
             assert row.value.indices == full.value.indices == (1, 4)
 
+    @pytest.mark.parametrize("delta, flagged", [(5e-13, False), (7e-14, True)])
+    def test_thresholds_from_column_maxima(self, delta, flagged):
+        # M^T = [[10, 10], [1, 1 + delta]] leaves the pivot delta against M's
+        # column maximum 1 + delta, not its row maximum 10, which flags the full inverse
+        m = np.array([[10.0, 1.0], [10.0, 1.0 + delta]], dtype=complex)
+        with pytest.raises(DegenerateUpdateError):
+            inverse(m)
+        for r in range(2):
+            if flagged:
+                with pytest.raises(DegenerateUpdateError):
+                    inverse(m, row=r)
+            else:
+                ref = np.linalg.inv(m)
+                assert np.max(np.abs(inverse(m, row=r) - ref[r])) <= 1e-12 * np.max(np.abs(ref))
+
     def test_counts_inversions_not_solves(self, rng):
         op_counter.reset()
         inverse(random_complex(rng, 6, 3, 3) + 2 * np.eye(3), row=1)
@@ -133,6 +148,25 @@ class TestInverseRow:
     def test_row_outside_range_rejected(self, rng, row):
         with pytest.raises(ContractViolationError, match="row"):
             inverse(random_complex(rng, 3, 3) + 2 * np.eye(3), row=row)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(np.nan, 0.0)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(inverse, id="inverse"),
+        *(pytest.param(lambda m, r=r: inverse(m, row=r), id=f"inverse-row-{r}") for r in range(3)),
+        pytest.param(masked_solve_unit, id="masked_solve_unit"),
+        pytest.param(lambda m: project_back(m, np.ones(m.shape[:-1], dtype=complex)), id="project_back"),
+    ],
+)
+def test_non_finite_entry_rejected(rng, call, value):
+    # one bad entry in one bin of an otherwise well-conditioned stack, at every position
+    for i, j in np.ndindex(3, 3):
+        m = random_complex(rng, 4, 3, 3) + 3 * np.eye(3)
+        m[2, i, j] = value
+        with pytest.raises(ContractViolationError, match="non-finite"):
+            call(m)
 
 
 class TestHermitianPart:
@@ -235,6 +269,21 @@ class TestLuAgainstOracle:
             with pytest.raises(DegenerateUpdateError) as excinfo:
                 inverse(m)
             assert excinfo.value.indices == bad
+
+        # the row form eliminates [m^T | e_r] under the same pivot rule: it names the
+        # bins whose transpose the reference flags and matches numpy on the others
+        ok_t = np.array([lu_reference(mat.T, SINGULAR_PIVOT_RTOL)[2] for mat in m])
+        bad_t = tuple(int(b) for b in np.flatnonzero(~ok_t)[:16])
+        for r in range(k):
+            if bad_t:
+                with pytest.raises(DegenerateUpdateError) as excinfo:
+                    inverse(m, row=r)
+                assert excinfo.value.indices == bad_t
+            if ok_t.any():
+                rows = inverse(m[ok_t], row=r)
+                for row, mat in zip(rows, m[ok_t]):
+                    ref = np.linalg.inv(mat)
+                    assert np.max(np.abs(row - ref[r])) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestLuShortcuts:

@@ -837,22 +837,22 @@ class TestEngine:
     @pytest.mark.parametrize(
         "method, indices, budget, after_warm_up",
         [
-            pytest.param("iss", (1,), 81, False, id="iss-one-warm-up"),
-            pytest.param("iss", (0, 1, 2), 134, False, id="iss-all-warm-up"),
-            pytest.param("ip", (0, 1, 2), 154, False, id="ip-all-warm-up"),
-            pytest.param("iss", (1,), 63, True, id="iss-one-after-warm-up"),
-            pytest.param("iss", (0, 1, 2), 94, True, id="iss-all-after-warm-up"),
-            pytest.param("ip", (0, 1, 2), 103, True, id="ip-all-after-warm-up"),
+            pytest.param("iss", (1,), 76, False, id="iss-one-warm-up"),
+            pytest.param("iss", (0, 1, 2), 129, False, id="iss-all-warm-up"),
+            pytest.param("ip", (0, 1, 2), 149, False, id="ip-all-warm-up"),
+            pytest.param("iss", (1,), 57, True, id="iss-one-after-warm-up"),
+            pytest.param("iss", (0, 1, 2), 88, True, id="iss-all-after-warm-up"),
+            pytest.param("ip", (0, 1, 2), 98, True, id="ip-all-after-warm-up"),
         ],
     )
     def test_frame_call_budget(self, rng, method, indices, budget, after_warm_up):
         # a K=3, F=513 frame is bound by per-call cost, so its kernels call ndarray methods
-        # and ufuncs, not numpy's Python wrappers.  The projection's pivoted LU makes one
+        # and ufuncs, not numpy's Python wrappers.  The projection's pivoted elimination makes one
         # np.where pair per row swap, so the count depends on the frame data: the budget
         # holds for the largest count over every 4th frame of a window, the last 17 frames
         # of the warm-up's n_iter = 2 passes or the first 17 after it, at one pass.  One
-        # frame plus its projection makes at most 74, 122 and 140 Python-level calls
-        # (ISS one index, ISS all, IP all) in the first window and 57, 85 and 94 in the
+        # frame plus its projection makes at most 69, 117 and 135 Python-level calls
+        # (ISS one index, ISS all, IP all) in the first window and 52, 80 and 89 in the
         # second; each budget is its figure plus about 10%
         engine = OnlineAuxIva(513, 3, OnlineConfig(method=method, selector=lambda t: indices))
         first = WARMUP_FRAMES + 4 if after_warm_up else WARMUP_FRAMES - 16

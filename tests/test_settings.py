@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivastream import ContractViolationError
+from ivastream.errors import check_number
 from ivastream.batch import BatchProblem
+from ivastream.linalg import inverse
 from ivastream.metrics import check_segment_len
 from ivastream.scenario import ScenarioConfig, synth_sources
 from ivastream.separator import OnlineAuxIva, OnlineConfig, UpdateSchedule, ip_update_row, iss_apply, iss_vector
@@ -30,6 +32,7 @@ SETTINGS = {
     "ip_update_row.k": ("k", lambda v: ip_update_row(W, U[0], v), 1),
     "iss_vector.k": ("k", lambda v: iss_vector(W, U, v), 1),
     "iss_apply.k": ("k", lambda v: iss_apply(W, np.zeros((2, 3)), v), 1),
+    "inverse.row": ("row", lambda v: inverse(W, row=v), 1),
     "switch_to.switch_frame": ("switch_frame", lambda v: UpdateSchedule.switch_to(3, 0, v), 5),
     "switch_to.moving": ("moving", lambda v: UpdateSchedule.switch_to(3, v, 5), 2),
     "switch_to.moving_in_a_tuple": ("moving", lambda v: UpdateSchedule.switch_to(3, (0, v), 5), 2),
@@ -86,3 +89,22 @@ def test_setting_accepts_or_names_itself(key, data):
 def test_in_range_integer_accepted(key, kind):
     _, build, inside = SETTINGS[key]
     build(kind(inside))
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value, accepted",
+    [(0, True), (2, True), (3, False), (-1, False), (np.int64(2), True), (_Int(1), True), (_Int(3), False),
+     (True, False), (False, False), (1.0, False), (np.float64(1.0), False), (None, False), ("1", False)],
+)
+def test_check_number_integer_types(value, accepted):
+    # an exact int skips the type tests; bools, int subclasses and numpy ints take them
+    try:
+        check_number("n", value, 0, 3)
+    except ContractViolationError:
+        assert not accepted
+    else:
+        assert accepted
