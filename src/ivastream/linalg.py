@@ -83,30 +83,31 @@ def _eliminate(m: np.ndarray, row: int | None = None) -> tuple[np.ndarray, np.nd
     work[:, k + 1] = SINGULAR_PIVOT_RTOL * np.maximum(scale, _TINY)
     mags, rhs = mags[:, 0], row is not None
     ok = np.ones(nb, dtype=bool)
-    for j in range(k):
-        piv_mag, takes = mags[0], []
-        for i in range(1, k - j):  # takes[i-1]: candidate i beats every candidate before it
-            takes.append(mags[i] > piv_mag)
-            piv_mag = np.maximum(piv_mag, mags[i])
-        later = None  # the bins that a candidate after the one at hand has taken
-        for i in range(k - j - 1, 0, -1):
-            take = takes[i - 1]
-            if take.any():
-                sel = take if later is None else take > later
-                a, b = work[j, j * rhs :], work[j + i, j * rhs :]
-                work[j, j * rhs :], work[j + i, j * rhs :] = np.where(sel, b, a), np.where(sel, a, b)
-                later = take if later is None else later | take
-        bad = piv_mag < work[j, k + 1].real
-        piv = work[j, j]
-        if bad.any():
-            ok &= ~bad
-            piv = np.where(bad, 1.0, piv)
-        if j + 1 < k:
-            mult = work[j + 1 :, j] / piv
-            if not rhs:
-                work[j + 1 :, j] = mult
-            work[j + 1 :, j + 1 : k + rhs] -= mult[:, None] * work[j, j + 1 : k + rhs]
-            mags = np.abs(work[j + 1 :, j + 1])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing bin only spoils itself
+        for j in range(k):
+            piv_mag, takes = mags[0], []
+            for i in range(1, k - j):  # takes[i-1]: candidate i beats every candidate before it
+                takes.append(mags[i] > piv_mag)
+                piv_mag = np.maximum(piv_mag, mags[i])
+            later = None  # the bins that a candidate after the one at hand has taken
+            for i in range(k - j - 1, 0, -1):
+                take = takes[i - 1]
+                if take.any():
+                    sel = take if later is None else take > later
+                    a, b = work[j, j * rhs :], work[j + i, j * rhs :]
+                    work[j, j * rhs :], work[j + i, j * rhs :] = np.where(sel, b, a), np.where(sel, a, b)
+                    later = take if later is None else later | take
+            bad = piv_mag < work[j, k + 1].real
+            piv = work[j, j]
+            if bad.any():
+                ok &= ~bad
+                piv = np.where(bad, 1.0, piv)
+            if j + 1 < k:
+                mult = work[j + 1 :, j] / piv
+                if not rhs:
+                    work[j + 1 :, j] = mult
+                work[j + 1 :, j + 1 : k + rhs] -= mult[:, None] * work[j, j + 1 : k + rhs]
+                mags = np.abs(work[j + 1 :, j + 1])
     return work, ok
 
 

@@ -55,9 +55,9 @@ state, and :meth:`OnlineAuxIva.set_state` is the one way to write it from
 outside.  The public functions keep the (F, ...) shapes and move axes on
 entry, which costs no copy for the engine's own views.  W and U_k (or v)
 share their leading axes; a mismatch is a :class:`ContractViolationError`.
-The frame's kernels call ndarray methods and ufuncs (``x.sum(axis=...)``,
-``ok.all()``, ``.transpose``), not the ``numpy`` wrappers: at K=3 a frame is
-bound by per-call cost, and each wrapper adds microseconds of Python dispatch.
+The frame's kernels call ndarray methods and ufuncs (``x.sum(axis=...)``, ``.transpose``),
+not the ``numpy`` functions: at K=3 a frame is bound by per-call cost.  ``.sum()``, ``.any()``
+and ``.all()`` still each run a thin Python wrapper (``numpy._core._methods``).
 A complex array divided by a real per-bin array takes numpy's mixed-type loop,
 about twice a multiply, so the IP step and the ISS coefficients multiply by
 real reciprocals instead.
@@ -160,15 +160,15 @@ class OnlineConfig:
 
 @dataclass
 class FlopCounter:
-    """Analytic complex multiply-add counts, attributed per phase.
+    """Analytic complex multiply-add counts, attributed per phase; :attr:`OnlineAuxIva.flops`
+    derives them on each read from the passes, index steps and IP anchors the engine ran.
 
-    ``ip_update`` covers the IP path, tallied per IP step (the steering matrix on
-    each anchor, the first step and the first after each ``set_state(demix=...)``;
-    per index the solve of ``U_k z = a_k``, normalisation and update of A),
-    ``iss_apply`` the rank-1 demixing update, and ``iss_coefficients`` the
-    quadratic forms feeding it.  The demixing update proper therefore costs
-    Theta(K^3 F) per source for IP and Theta(K^2 F) for ISS; the ISS
-    coefficient statistics are Theta(K^3 F) and are tallied separately.
+    ``ip_update`` covers the IP path (the steering matrix on each anchor, the first step and
+    the first after each ``set_state(demix=...)``; per index step the solve of ``U_k z = a_k``,
+    normalisation and update of A), ``iss_apply`` the rank-1 demixing update, and
+    ``iss_coefficients`` the quadratic forms feeding it.  The demixing update proper therefore
+    costs Theta(K^3 F) per source for IP and Theta(K^2 F) for ISS; the ISS coefficient
+    statistics are Theta(K^3 F) and are tallied separately.
     """
 
     activity: int = 0
@@ -393,7 +393,7 @@ class OnlineAuxIva:
         sel = config.selector
         self._indices_at = UpdateSchedule.all_sources(self.n_src) if sel is None else sel
         self._step = self._iss_step if config.method == "iss" else self._ip_step
-        self.flops = FlopCounter()
+        self._passes = self._steps = self._anchors = 0  # work run so far, behind flops
         eye = np.eye(self.n_src, dtype=np.complex128)[:, :, None]
         self._W = np.repeat(eye, self.n_bins, axis=2)
         self._U = np.repeat(INIT_COVARIANCE_SCALE * self._W[None], self.n_src, axis=0)
@@ -408,6 +408,16 @@ class OnlineAuxIva:
         return _read_only(self._W.transpose(2, 0, 1))
 
     @property
+    def flops(self) -> FlopCounter:
+        """Complex multiply-adds so far, derived on each read from the passes, index steps and IP anchors run."""
+        k, f, steps, iss = self.n_src, self.n_bins, self._steps, self.config.method == "iss"
+        return FlopCounter(activity=self._passes * FlopCounter.activity_flops(k, f),
+                           covariance=self._passes * k * FlopCounter.covariance_flops(k, f),
+                           iss_coefficients=steps * FlopCounter.iss_coefficient_flops(k, f) if iss else 0,
+                           iss_apply=steps * FlopCounter.iss_apply_flops(k, f) if iss else 0,
+                           ip_update=0 if iss else FlopCounter.ip_update_flops(k, f, steps, self._anchors))
+
+    @property
     def covariance(self) -> np.ndarray:
         """The (K, F, K, K) weighted covariances, a read-only view (see :meth:`set_state`) that,
         like :attr:`demix`, follows the state across frames: U is refreshed in place."""
@@ -417,8 +427,8 @@ class OnlineAuxIva:
         """Write the demixing matrices, the covariances or both, in the shapes of :attr:`demix`
         and :attr:`covariance`.  A wrong shape (even one that would broadcast) or a non-finite
         entry in either raises :class:`ContractViolationError` before anything is written.  The
-        frame clock, diagnostics and flops are kept, so the warm-up is not re-armed; the next
-        IP step factorises the new W."""
+        frame clock, diagnostics and the work counts behind :attr:`flops` are kept, so the warm-up
+        is not re-armed; the next IP step factorises the new W, an anchor."""
         new = {name: np.asarray(value, dtype=np.complex128)
                for name, value in (("demix", demix), ("covariance", covariance)) if value is not None}
         for name, value in new.items():
@@ -439,12 +449,10 @@ class OnlineAuxIva:
         if not healthy:  # degenerate bins keep their rows
             self.diagnostics.record("iss_degenerate", np.count_nonzero(~ok))
         _iss_apply(self._W, v, k, None if healthy else ok)
-        self.flops.iss_coefficients += FlopCounter.iss_coefficient_flops(self.n_src, self.n_bins)
-        self.flops.iss_apply += FlopCounter.iss_apply_flops(self.n_src, self.n_bins)
 
     def _ip_step(self, k: int) -> None:
-        anchor = self._A is None  # A, once factorised, is kept current by each step across frames
-        if anchor:  # the first IP step, or the first after set_state(demix=...)
+        if self._A is None:  # the first IP step, or the first after set_state(demix=...); A is then kept current
+            self._anchors += 1
             A, self._A_ok = linalg.masked_solve_unit(self.demix)
             self._A = np.moveaxis(A, 0, -1)
         w, ok = _masked_ip_update(self._U[k], self._A, k, self._A_ok)
@@ -453,7 +461,6 @@ class OnlineAuxIva:
         else:  # degenerate bins keep their rows
             self._W[k] = np.where(ok, np.conj(w), self._W[k])
             self.diagnostics.record("ip_degenerate", np.count_nonzero(~ok))
-        self.flops.ip_update += FlopCounter.ip_update_flops(self.n_src, self.n_bins, 1, int(anchor))
 
     # -- public streaming API ----------------------------------------------
 
@@ -485,17 +492,17 @@ class OnlineAuxIva:
             raise ContractViolationError(f"selector produced indices {indices}, not integers in 0..{k - 1}")
         self._t += 1
         passes = self.config.n_iter if indices and self._t <= WARMUP_FRAMES else 1
+        self._passes += passes
+        self._steps += passes * len(indices)
         alpha = self.config.alpha
         x = np.ascontiguousarray(x.T)
         outer = _outer(x)
         decayed = alpha * self._U
         for _ in range(passes):
             phi = weight(_activity(self._W, x))
-            self.flops.activity += FlopCounter.activity_flops(k, f)
             coef = ((1.0 - alpha) * phi).astype(np.complex128)  # real-by-complex is numpy's slow path
             np.multiply(coef[:, None, None, None], outer, out=self._U)
             self._U += decayed
-            self.flops.covariance += k * FlopCounter.covariance_flops(k, f)
             for idx in indices:
                 self._step(idx)
         return _demix(self._W, x).T

@@ -149,6 +149,21 @@ class TestInverseRow:
         with pytest.raises(ContractViolationError, match="row"):
             inverse(random_complex(rng, 3, 3) + 2 * np.eye(3), row=row)
 
+    def test_entry_near_the_float_limit_flagged_without_warning(self, rng):
+        # bin 1 holds I with (1e308 + 1e308j) at (0, 1), a condition number near 1e308: every
+        # form flags it and that bin alone, and the multiplier division that overflows on the
+        # way warns of nothing (the test suite turns any escaping warning into an error)
+        m = random_complex(rng, 3, 3, 3) + 3 * np.eye(3)
+        m[1] = np.eye(3)
+        m[1, 0, 1] = complex(1e308, 1e308)
+        calls = [inverse, *(lambda m, r=r: inverse(m, row=r) for r in range(3)),
+                 lambda m: project_back(m, np.ones(m.shape[:-1], dtype=complex))]
+        for call in calls:
+            with pytest.raises(DegenerateUpdateError) as err:
+                call(m)
+            assert err.value.indices == (1,)
+        assert masked_solve_unit(m)[1].tolist() == [True, False, True]
+
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(np.nan, 0.0)])
 @pytest.mark.parametrize(
